@@ -11,6 +11,17 @@ This module builds truncated probability profiles with certified geometric
 tail bounds, evaluates the probability generating product, the exact
 Poisson-binomial pmf, binomial moments through the cycle-type sum, the
 variance series, and a reproducible Monte Carlo sampler.
+
+A profile is evaluated in one vectorised call of the regularized incomplete
+beta function, p_j = I_{r^2}(j, 2 nu - 1), over a block of indices that
+doubles until the truncation rule stops.  Every profile is checked against
+an independent second form, the negative-binomial tail
+
+    p_j = sum_{k >= j} t_k,   t_1 = b x (1-x)^b,   t_{k+1}/t_k = x (k+b)/(k+1),
+
+with x = r^2 and b = 2 nu - 1, summed from the far end in O(J) work.  A
+disagreement raises :class:`TruncationFailure`.  Both steps together take
+milliseconds even at r = 0.999 for every nu up to 6, where J ~ 3e4.
 """
 
 from __future__ import annotations
@@ -19,9 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .exceptions import DomainError, TruncationFailure
-from .specfun import incomplete_beta, incomplete_beta_ratio, log_pochhammer
 
 __all__ = [
     "BernoulliProfile",
@@ -35,12 +46,17 @@ __all__ = [
 ]
 
 # the two analytic forms of p_j must coincide; see build_profile.  Below the
-# floor the quadrature form's relative accuracy degrades, so a looser check
-# applies to those (numerically irrelevant) deep-tail terms.
+# floor a looser check applies to the (numerically irrelevant) deep-tail
+# terms; subnormal terms carry too few significant bits to compare at all.
 _FORM_AGREEMENT_RTOL = 1e-10
 _FORM_CHECK_FLOOR = 1e-30
 _FORM_TAIL_RTOL = 1e-6
+_TAIL_SUM_REL = 1e-18
 _BURN_IN = 8
+_FIRST_BLOCK = 64
+_TINY = np.finfo(float).tiny
+# sample_counts draws at most this many uniforms (8 bytes each) per block
+_SAMPLE_BLOCK_UNIFORMS = 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,20 +91,52 @@ class CountDistribution:
     variance: float
 
 
-def _success_probability_forms(nu: float, r: float, j: int):
-    """p_j by the rising-factorial form and by the beta-ratio form.
+def _tail_sum_form(b: float, x: float, n: int) -> np.ndarray:
+    """p_1..p_n as tails of the negative-binomial law, independent of betainc.
 
-    The rising-factorial form multiplies the quadrature value of the
-    incomplete beta integral by (2 nu - 1) (2 nu)_{j-1} / (j-1)! assembled
-    in log scale; the ratio form goes through the regularized incomplete
-    beta function.  They are mathematically identical because
-    B_1(j, 2 nu - 1) = Gamma(j) Gamma(2 nu - 1) / Gamma(j + 2 nu - 1).
+    I_x(j, b) = sum_{k >= j} t_k with t_1 = b x (1-x)^b and
+    t_{k+1} / t_k = x (k + b) / (k + 1).  log t_k is a cumulative sum of
+    log x + log1p((b - 1) / (k + 1)), which keeps its absolute error near
+    machine precision out to k ~ 10^5 (lgamma differences lose ~1e-10
+    there).  The sum runs past n until the geometric bound on the omitted
+    terms is below _TAIL_SUM_REL times the smallest normal p_j wanted,
+    and is accumulated from the far end after one common rescaling.
     """
-    b = 2.0 * nu - 1.0
-    log_prefactor = math.log(b) + log_pochhammer(2.0 * nu, j - 1) - math.lgamma(j)
-    poch_form = math.exp(log_prefactor) * incomplete_beta(r, j, b)
-    ratio_form = incomplete_beta_ratio(r, j, b)
-    return poch_form, ratio_form
+    log_t1 = math.log(b) + math.log(x) + b * math.log1p(-x)
+    log_x = math.log(x)
+    m = 2 * n
+    while True:
+        steps = log_x + np.log1p((b - 1.0) / np.arange(2, m + 1))
+        log_t = log_t1 + np.concatenate(([0.0], np.cumsum(steps)))
+        # beyond index m every ratio t_{k+1}/t_k is at most rho
+        rho = x * max(1.0, (m + b) / (m + 1.0))
+        if rho < 1.0:
+            shift = log_t.max()
+            sums = np.cumsum(np.exp(log_t - shift)[::-1])[::-1]
+            with np.errstate(divide="ignore"):
+                log_p = np.log(sums[:n]) + shift
+            log_omitted = log_t[-1] + math.log(rho / (1.0 - rho))
+            log_smallest = max(log_p.min(), math.log(_TINY))
+            if log_omitted < log_smallest + math.log(_TAIL_SUM_REL):
+                return np.exp(log_p)
+        m *= 2
+
+
+def _check_forms(probs: np.ndarray, b: float, x: float) -> None:
+    """Raise TruncationFailure unless probs agrees with _tail_sum_form."""
+    normal = probs >= _TINY
+    if not normal.any():
+        return
+    other = _tail_sum_form(b, x, len(probs))
+    rel = np.zeros_like(probs)
+    rel[normal] = np.abs(other[normal] - probs[normal]) / probs[normal]
+    rtol = np.where(probs > _FORM_CHECK_FLOOR, _FORM_AGREEMENT_RTOL, _FORM_TAIL_RTOL)
+    bad = np.flatnonzero(rel > rtol)
+    if bad.size:
+        i = int(bad[0])
+        raise TruncationFailure(
+            f"success-probability forms disagree at j={i + 1}: "
+            f"{other[i]!r} vs {probs[i]!r} (rel {rel[i]:.2e})")
 
 
 def build_profile(nu: float, r: float, epsilon: float = 1e-12,
@@ -98,13 +146,17 @@ def build_profile(nu: float, r: float, epsilon: float = 1e-12,
     Truncates at the first index J >= 8 whose empirical ratio p_J / p_{J-1}
     is below the geometric envelope q (q = r^2 + 0.01, lowered to
     (1 + r^2)/2 when that exceeds 1) and whose value makes the geometric
-    tail bound p_J q / (1 - q) smaller than epsilon.  Every p_j is computed
-    by both analytic forms, which must agree to 1e-10 relative (loosened to
-    1e-6 below 1e-30, where the quadrature form runs out of relative
-    accuracy).
+    tail bound p_J q / (1 - q) smaller than epsilon.
+
+    p_1..p_n come from one vectorised regularized incomplete beta call,
+    with n = 64 doubled (up to ``hard_cap``) until the rule above stops.
+    The kept p_1..p_J are then checked against the negative-binomial tail
+    sums of :func:`_tail_sum_form`, an O(J) second form; they must agree to
+    1e-10 relative (1e-6 below 1e-30).  This reaches J ~ 3e4 at r = 0.999
+    for every nu up to 6 in milliseconds.
 
     Raises :class:`TruncationFailure` if ``hard_cap`` indices do not
-    suffice.
+    suffice or if the two forms disagree.
     """
     if not nu > 0.5:
         raise DomainError(f"nu must exceed 1/2, got {nu}")
@@ -115,29 +167,23 @@ def build_profile(nu: float, r: float, epsilon: float = 1e-12,
     q = min(r * r + 0.01, 0.5 + 0.5 * r * r)   # strictly below 1, above lim p_{j+1}/p_j
     # stopping at p_J below this makes the geometric tail p_J q/(1-q) < epsilon
     p_stop = epsilon * (1.0 - q) / q
-    probs = []
-    j = 1
+    b = 2.0 * nu - 1.0
+    n = min(_FIRST_BLOCK, hard_cap)
     while True:
-        poch_form, ratio_form = _success_probability_forms(nu, r, j)
-        if ratio_form > 0.0:
-            rel = abs(poch_form - ratio_form) / ratio_form
-            rtol = (_FORM_AGREEMENT_RTOL if ratio_form > _FORM_CHECK_FLOOR
-                    else _FORM_TAIL_RTOL)
-            if rel > rtol:
-                raise RuntimeError(
-                    f"success-probability forms disagree at j={j}: "
-                    f"{poch_form!r} vs {ratio_form!r} (rel {rel:.2e})")
-        probs.append(ratio_form)
-        if j >= _BURN_IN and probs[-1] < p_stop and probs[-1] <= probs[-2] * q:
+        probs = special.betainc(np.arange(1, n + 1), b, r * r)
+        tail = probs[_BURN_IN - 1:]
+        stops = np.flatnonzero((tail < p_stop) & (tail <= probs[_BURN_IN - 2:-1] * q))
+        if stops.size:
+            probs = probs[:_BURN_IN + int(stops[0])]
             break
-        if j >= hard_cap:
+        if n >= hard_cap:
             raise TruncationFailure(
                 f"tail bound {epsilon} not reached within {hard_cap} terms "
                 f"(nu={nu}, r={r})")
-        j += 1
-    tail = probs[-1] * q / (1.0 - q)
-    return BernoulliProfile(nu=nu, r=r, probabilities=np.asarray(probs),
-                            tail_bound=tail)
+        n = min(2 * n, hard_cap)
+    _check_forms(probs, b, r * r)
+    return BernoulliProfile(nu=nu, r=r, probabilities=probs,
+                            tail_bound=float(probs[-1]) * q / (1.0 - q))
 
 
 def generating_function(profile: BernoulliProfile, s: float) -> float:
@@ -231,18 +277,20 @@ def sample_counts(profile: BernoulliProfile, seed: int, n_samples: int,
     Driven by the counter-based Philox generator keyed by ``seed``; draw i
     consumes the uniforms [i*J, (i+1)*J) of the stream, so results are
     bit-identical across runs, chunk sizes and platforms, and a parallel
-    driver can reproduce any draw by jumping the counter.  Returns integer
-    counts over {0, ..., J}.
+    driver can reproduce any draw by jumping the counter.  Each block holds
+    at most ``chunk`` draws and about 2^20 uniforms (8 MB), whichever is
+    fewer.  Returns integer counts over {0, ..., J}.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     p = profile.probabilities
     J = len(p)
+    rows = max(1, min(chunk, _SAMPLE_BLOCK_UNIFORMS // max(J, 1)))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     hist = np.zeros(J + 1, dtype=np.int64)
     done = 0
     while done < n_samples:
-        take = min(chunk, n_samples - done)
+        take = min(rows, n_samples - done)
         uniforms = rng.random((take, J))
         counts = (uniforms < p).sum(axis=1)
         hist += np.bincount(counts, minlength=J + 1)

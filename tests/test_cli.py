@@ -4,6 +4,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from dppstats import counting
 from dppstats.cli import cli
 
 
@@ -154,6 +155,20 @@ class TestDistributionCommand:
     def test_invalid_radius_exits_2(self, runner):
         result = runner.invoke(cli, ["distribution", "--nu", "1", "--r", "1.0"])
         assert result.exit_code == 2
+
+    def test_unit_radius_at_largest_nu(self, runner):
+        result = runner.invoke(cli, ["distribution", "--nu", "6", "--r", "0.999"])
+        assert result.exit_code == 0
+        assert "# truncation=" in result.output
+
+    def test_form_disagreement_exits_3(self, runner, monkeypatch):
+        tail_sum_form = counting._tail_sum_form
+        monkeypatch.setattr(counting, "_tail_sum_form",
+                            lambda b, x, n: tail_sum_form(b, x, n) * (1.0 + 1e-9))
+        result = runner.invoke(cli, ["distribution", "--nu", "1.5", "--r", "0.7"])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "forms disagree" in result.output
 
 
 class TestContractionCommand:

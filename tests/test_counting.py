@@ -2,18 +2,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from dppstats import (BernoulliProfile, DomainError, HyperbolicLevel,
                       TruncationFailure, binomial_moment, build_profile,
-                      distribution, generating_function, sample_counts,
+                      distribution, generating_function, incomplete_beta,
+                      incomplete_beta_ratio, log_pochhammer, sample_counts,
                       variance_hyperbolic, variance_series)
-from dppstats.counting import _success_probability_forms
+from dppstats import counting
 
 
 def pmf_binomial_moment(law, k):
     ns = np.arange(len(law.pmf))
     return float((special.comb(ns, k) * law.pmf).sum())
+
+
+def quadrature_form(nu, r, j):
+    """p_j = (2 nu - 1) (2 nu)_{j-1} / (j-1)! * B_r(j, 2 nu - 1) by quadrature."""
+    b = 2.0 * nu - 1.0
+    log_prefactor = math.log(b) + log_pochhammer(2.0 * nu, j - 1) - math.lgamma(j)
+    return math.exp(log_prefactor) * incomplete_beta(r, j, b)
+
+
+def scalar_profile(nu, r, epsilon=1e-12):
+    """The documented truncation rule, one incomplete_beta_ratio call per term."""
+    q = min(r * r + 0.01, 0.5 + 0.5 * r * r)
+    p_stop = epsilon * (1.0 - q) / q
+    probs = []
+    while True:
+        probs.append(incomplete_beta_ratio(r, len(probs) + 1, 2.0 * nu - 1.0))
+        if len(probs) >= 8 and probs[-1] < p_stop and probs[-1] <= probs[-2] * q:
+            return np.array(probs), probs[-1] * q / (1.0 - q)
 
 
 class TestBuildProfile:
@@ -46,15 +67,49 @@ class TestBuildProfile:
     def test_probability_forms_agree(self):
         for nu in [0.75, 1.0, 1.5, 3.0]:
             for r in [0.3, 0.7, 0.95]:
+                # a small epsilon keeps j = 20 inside the profile at r = 0.3
+                profile = build_profile(nu, r, epsilon=1e-30)
+                assert profile.truncation >= 20
                 for j in [1, 2, 5, 20]:
-                    poch, ratio = _success_probability_forms(nu, r, j)
+                    ratio = profile.probabilities[j - 1]
                     if ratio > 1e-300:
-                        assert poch == pytest.approx(ratio, rel=1e-10)
+                        assert quadrature_form(nu, r, j) == pytest.approx(ratio, rel=1e-10)
 
     def test_probability_tends_to_one_near_unit_radius(self):
-        poch, ratio = _success_probability_forms(1.0, 0.999, 1)
+        ratio = build_profile(1.0, 0.999).probabilities[0]
         assert ratio > 0.99
-        assert poch == pytest.approx(ratio, rel=1e-10)
+        assert quadrature_form(1.0, 0.999, 1) == pytest.approx(ratio, rel=1e-10)
+
+    def test_matches_scalar_ratio_loop_bit_for_bit(self):
+        for nu, r in [(0.5001, 0.3), (1.5, 0.7), (2.0, 1e-3), (3.0, 0.9),
+                      (6.0, 0.6), (1.0, 0.99), (0.75, 0.995)]:
+            probs, tail = scalar_profile(nu, r)
+            profile = build_profile(nu, r)
+            assert profile.truncation == len(probs)
+            assert np.array_equal(profile.probabilities, probs)
+            assert profile.tail_bound == tail
+
+    def test_reaches_unit_radius_at_largest_nu(self):
+        # the quadrature form used to disagree by 1e-10 relative here
+        profile = build_profile(6.0, 0.999)
+        assert profile.truncation > 20000
+        assert profile.tail_bound < 1e-12
+        assert profile.probabilities[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_form_disagreement_raises(self, monkeypatch):
+        tail_sum_form = counting._tail_sum_form
+        monkeypatch.setattr(counting, "_tail_sum_form",
+                            lambda b, x, n: tail_sum_form(b, x, n) * (1.0 + 1e-9))
+        with pytest.raises(TruncationFailure, match="forms disagree"):
+            build_profile(1.5, 0.7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(nu=st.floats(0.5001, 6.0), r=st.floats(0.01, 0.999))
+    def test_tail_bound_dominates_next_terms(self, nu, r):
+        profile = build_profile(nu, r)
+        J = profile.truncation
+        beyond = special.betainc(np.arange(J + 1, J + 2001), 2.0 * nu - 1.0, r * r)
+        assert beyond.sum() <= profile.tail_bound
 
     def test_truncation_failure(self):
         with pytest.raises(TruncationFailure):
@@ -185,6 +240,13 @@ class TestSampling:
         profile = build_profile(1.5, 0.7)
         h1 = sample_counts(profile, 7, 30000, chunk=30000)
         h2 = sample_counts(profile, 7, 30000, chunk=777)
+        assert np.array_equal(h1, h2)
+
+    def test_block_cap_does_not_change_stream(self, monkeypatch):
+        profile = build_profile(1.0, 0.99)
+        h1 = sample_counts(profile, 11, 3000)
+        monkeypatch.setattr(counting, "_SAMPLE_BLOCK_UNIFORMS", 5 * profile.truncation)
+        h2 = sample_counts(profile, 11, 3000)
         assert np.array_equal(h1, h2)
 
     def test_different_seeds_differ(self):
