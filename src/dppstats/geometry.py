@@ -8,6 +8,14 @@ the centred disc ``D_r`` under the involution exchanging 0 and z.
 
 Radial symmetry is exploited throughout: the lens quantities depend only
 on ``|z|``, so the integral operations take a modulus, not a point.
+
+The hyperbolic lens integral has a batched form for the disc variance
+routes: ``_lens_direct`` and ``_lens_transformed`` take an array of
+u_z = atanh(|z|) and return value, error and convergence arrays from one
+:func:`dppstats.quadrature.integrate_rows` call, whose integrand works on a
+(rows x nodes) matrix with each row's parameters broadcast as a column.
+The public functions are the one-row case and raise
+:class:`QuadratureFailure` when the tolerance cannot be certified.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate_interval
+from .exceptions import DomainError, QuadratureFailure
+from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate_rows
 
 __all__ = [
     "Disc",
@@ -209,25 +217,36 @@ def euclidean_lens_complement_area(r: float, z_modulus):
 
 
 def _nonneg_clamped(x: np.ndarray, name: str) -> np.ndarray:
-    low = float(np.min(x))
+    low = float(x.min())
     if low < -ACOS_CLAMP_WINDOW:
         raise DomainError(
             f"{name} is negative by {-low:.3e}, beyond the "
             f"{ACOS_CLAMP_WINDOW} roundoff window")
-    return np.clip(x, 0.0, None)
+    return np.maximum(x, 0.0)
 
 
-def _direct_pieces(r: float, u_z: float):
-    """Smooth integrand pieces of the angular lens integral.
+def _lens_rows(u_z, live_mask):
+    """Zero-filled (value, error, converged) outputs and the live row indices."""
+    return (np.zeros(u_z.shape), np.zeros(u_z.shape), np.ones(u_z.shape, dtype=bool),
+            np.flatnonzero(live_mask))
+
+
+def _lens_direct(r: float, u_z: np.ndarray, quad: QuadratureConfig):
+    """Angular lens integral at every u_z = atanh(|z|) of an array, batched.
+
+    Returns (value, error_estimate, converged) arrays shaped like ``u_z``;
+    nothing is raised.  Rows with an empty range (|z| = 0) are exactly 0.
 
     The integral of arccos(g(t)) t (1-t^2)^{-2} dt, with
     g(t) = (t^2+|C|^2-R^2)/(2t|C|), runs from max(r, inner_edge) to
     outer_edge.  Everything is evaluated in u = atanh(t), where the
-    geometry is exact: with u_z = atanh(|z|) and u_r = atanh(r) the range
-    is [max(u_r, |u_z - u_r|), u_z + u_r] by the tanh addition law, and the
+    geometry is exact: with u_r = atanh(r) the range is
+    [max(u_r, |u_z - u_r|), u_z + u_r] by the tanh addition law, and the
     (1-t^2)^{-2} weight becomes sinh(u) cosh(u).  The substitutions
     u = end -+ w^2 at both endpoints remove the square-root behaviour of
-    arccos where its argument reaches +-1.
+    arccos where its argument reaches +-1; the two pieces of every |z| are
+    stacked as rows of one :func:`integrate_rows` call, lower-end pieces
+    first.
 
     arccos(g) itself is computed as 2 atan2(sqrt(1-g), sqrt(1+g)) from the
     factorizations
@@ -241,104 +260,105 @@ def _direct_pieces(r: float, u_z: float):
     tanh a - tanh b = sinh(a-b)/(cosh a cosh b), keeping full accuracy when
     the range crowds against the boundary of the unit disc.
     """
+    u_z = np.asarray(u_z, dtype=float)
     u_r = math.atanh(r)
-    u_in = abs(u_z - u_r)
-    u_lo = max(u_r, u_in)
+    u_in = np.abs(u_z - u_r)
+    u_lo = np.maximum(u_r, u_in)
     u_hi = u_z + u_r
-    if u_lo >= u_hi:
-        return []
-    sech2_z = 1.0 / math.cosh(u_z) ** 2
+    value, err, converged, live = _lens_rows(u_z, u_lo < u_hi)
+    if live.size == 0:
+        return value, err, converged
+    u_z, u_in, u_lo, u_hi = u_z[live], u_in[live], u_lo[live], u_hi[live]
+    sech2_z = 1.0 / np.cosh(u_z) ** 2
     denom = (1.0 - r * r) + r * r * sech2_z       # == 1 - |z|^2 r^2
-    c = (1.0 - r * r) * math.tanh(u_z) / denom    # centre modulus |C|
-    inner_edge = math.tanh(u_in)
-    upper = math.tanh(u_hi)
-    cosh_hi = math.cosh(u_hi)
-    cosh_in = math.cosh(u_in)
-    center_ge_radius = u_z >= u_r                  # sign of |C| - R
+    c = (1.0 - r * r) * np.tanh(u_z) / denom      # centre modulus |C|
+    span = u_hi - u_lo
+    lo_to_in = u_lo - u_in            # 0 when the inner edge is the lower bound
+    # per stacked row, at w = 0: the endpoint u, the gaps u_hi - u and
+    # u - u_in, and the direction the substitution moves u in
+    params = np.stack([
+        np.concatenate([u_lo, u_hi]),
+        np.concatenate([span, np.zeros(live.size)]),
+        np.concatenate([lo_to_in, span + lo_to_in]),
+        np.repeat([1.0, -1.0], live.size),
+        np.tile(np.cosh(u_hi), 2),
+        np.tile(np.cosh(u_in), 2),
+        np.tile(np.tanh(u_in), 2),                # inner_edge
+        np.tile(np.tanh(u_hi), 2),                # outer_edge
+        np.tile(c, 2)])
+    center_ge_radius = np.tile(u_z >= u_r, 2)     # sign of |C| - R
 
-    def angular(u, du_hi, du_in):
-        # du_hi = u_hi - u >= 0 and du_in = u - u_in >= 0, supplied exactly
+    def integrand(w, rows):
+        end, hi_gap, in_gap, sign, cosh_hi, cosh_in, inner_edge, upper, c = params[:, rows]
+        ge = center_ge_radius[rows]
+        w2 = sign * (w * w)
+        u = end + w2
         t = np.tanh(u)
         cosh_u = np.cosh(u)
-        d_up = np.sinh(du_hi) / (cosh_hi * cosh_u)    # outer_edge - t
-        d_in = np.sinh(du_in) / (cosh_in * cosh_u)    # t - inner_edge
+        d_up = np.sinh(hi_gap - w2) / (cosh_hi * cosh_u)    # outer_edge - t
+        d_in = np.sinh(in_gap + w2) / (cosh_in * cosh_u)    # t - inner_edge
         t_plus_in = t + inner_edge
-        if center_ge_radius:
-            one_minus_g = d_up * d_in
-            one_plus_g = t_plus_in * (t + upper)
-        else:
-            one_minus_g = d_up * t_plus_in
-            one_plus_g = d_in * (t + upper)
+        one_minus_g = d_up * np.where(ge, d_in, t_plus_in)
+        one_plus_g = np.where(ge, t_plus_in, d_in) * (t + upper)
         scale = 2.0 * t * c
         one_minus_g = _nonneg_clamped(one_minus_g / scale, "1 - arccos argument")
         one_plus_g = _nonneg_clamped(one_plus_g / scale, "1 + arccos argument")
         acos = 2.0 * np.arctan2(np.sqrt(one_minus_g), np.sqrt(one_plus_g))
-        return acos * np.sinh(u) * cosh_u
+        return 2.0 * w * (acos * np.sinh(u) * cosh_u)
 
-    span = u_hi - u_lo
-    lo_to_in = u_lo - u_in            # 0 when the inner edge is the lower bound
-    half = 0.5 * span
-
-    def left(w):
-        w2 = w * w
-        return 2.0 * w * angular(u_lo + w2, span - w2, lo_to_in + w2)
-
-    def right(w):
-        w2 = w * w
-        return 2.0 * w * angular(u_hi - w2, w2, (span - w2) + lo_to_in)
-
-    w_mid = math.sqrt(half)
-    return [(left, 0.0, w_mid), (right, 0.0, w_mid)]
+    w_mid = np.tile(np.sqrt(0.5 * span), 2)
+    v, e, ok = integrate_rows(integrand, 0.0, w_mid, quad)
+    n = live.size
+    value[live] = v[:n] + v[n:]
+    err[live] = e[:n] + e[n:]
+    converged[live] = ok[:n] & ok[n:]
+    return value, err, converged
 
 
-def _lens_direct(r: float, z_modulus: float, quad: QuadratureConfig,
-                 strict: bool = True, z_atanh: float | None = None) -> LensIntegralResult:
-    if z_modulus == 0.0:
-        return LensIntegralResult(0.0, 0.0)
-    u_z = math.atanh(z_modulus) if z_atanh is None else z_atanh
-    value, err = 0.0, 0.0
-    for f, a, b in _direct_pieces(r, u_z):
-        v, e = integrate_interval(f, a, b, quad, strict=strict)
-        value += v
-        err += e
-    return LensIntegralResult(value, err)
+def _lens_transformed(r: float, u_z: np.ndarray, quad: QuadratureConfig):
+    """The integration-by-parts lens form at every u_z = atanh(|z|), batched.
 
-
-def _lens_transformed(r: float, z_modulus: float, quad: QuadratureConfig,
-                      strict: bool = True, z_atanh: float | None = None) -> LensIntegralResult:
-    if z_modulus == 0.0:
-        return LensIntegralResult(0.0, 0.0)
-    u_z = math.atanh(z_modulus) if z_atanh is None else z_atanh
+    Same contract as :func:`_lens_direct`; the formula is documented at
+    :func:`hyperbolic_lens_integral_transformed`.  One row per |z|.
+    """
+    u_z = np.asarray(u_z, dtype=float)
     u_r = math.atanh(r)
-    if max(u_r, abs(u_z - u_r)) >= u_z + u_r:
-        return LensIntegralResult(0.0, 0.0)
-    z = math.tanh(u_z)
-    sech2_z = 1.0 / math.cosh(u_z) ** 2
+    value, err, converged, live = _lens_rows(
+        u_z, np.maximum(u_r, np.abs(u_z - u_r)) < u_z + u_r)
+    if live.size == 0:
+        return value, err, converged
+    u_z = u_z[live]
+    z = np.tanh(u_z)
+    sech2_z = 1.0 / np.cosh(u_z) ** 2
     denom = (1.0 - r * r) + r * r * sech2_z        # == 1 - z^2 r^2
     excess = (sech2_z - (1.0 - r * r)) / denom     # == (r^2 - z^2)/(1 - z^2 r^2)
     radius = sech2_z * r / denom
     center = (1.0 - r * r) * z / denom
-    outer_sq = math.tanh(u_z + u_r) ** 2
+    outer_sq = np.tanh(u_z + u_r) ** 2
     span = 4.0 * center * radius
     gap = sech2_z * (1.0 - r * r) / (1.0 + z * r) ** 2
-    term_outer = excess / outer_sq
-    # (1 + excess)/gap collapses to this cancellation-free closed form
-    term_gap = (1.0 + r * r) * (1.0 + z * r) / ((1.0 - z * r) * (1.0 - r * r))
-    v_rate = span / outer_sq
-    u_rate = span / gap
+    # (1 + excess)/gap collapses to the cancellation-free closed form term_gap
+    params = np.stack([
+        excess / outer_sq,                                              # term_outer
+        span / outer_sq,                                                # v_rate
+        (1.0 + r * r) * (1.0 + z * r) / ((1.0 - z * r) * (1.0 - r * r)),  # term_gap
+        span / gap])                                                    # u_rate
     cut = (2.0 * r + z * (1.0 + r * r)) * (1.0 - z * r) ** 2 / (4.0 * r * sech2_z)
-    u_max = math.asin(math.sqrt(min(1.0, cut)))
+    u_max = np.arcsin(np.sqrt(np.minimum(1.0, cut)))
 
-    def rational(u):
+    def rational(u, rows):
+        term_outer, v_rate, term_gap, u_rate = params[:, rows]
         s2 = np.sin(u) ** 2
         return term_outer / (1.0 - v_rate * s2) + term_gap / (1.0 + u_rate * s2)
 
-    value, err = integrate_interval(rational, 0.0, u_max, quad, strict=strict)
-    boundary = 0.0
-    if u_z < 2.0 * u_r:                            # z < 2r/(1+r^2) == tanh(2 u_r)
-        arg = z * (1.0 + r * r) / (2.0 * r)
-        boundary = math.acos(min(1.0, arg)) / (1.0 - r * r)
-    return LensIntegralResult(0.5 * (value - boundary), 0.5 * err)
+    v, e, ok = integrate_rows(rational, 0.0, u_max, quad)
+    # the boundary term at t = r, active when z < 2r/(1+r^2) == tanh(2 u_r)
+    arg = np.minimum(1.0, z * (1.0 + r * r) / (2.0 * r))
+    boundary = np.where(u_z < 2.0 * u_r, np.arccos(arg) / (1.0 - r * r), 0.0)
+    value[live] = 0.5 * (v - boundary)
+    err[live] = 0.5 * e
+    converged[live] = ok
+    return value, err, converged
 
 
 def _validate_lens_args(r: float, z_modulus: float):
@@ -346,6 +366,18 @@ def _validate_lens_args(r: float, z_modulus: float):
         raise DomainError(f"r must lie in (0, 1), got {r}")
     if not 0.0 <= z_modulus < 1.0:
         raise DomainError(f"z_modulus must lie in [0, 1), got {z_modulus}")
+
+
+def _one_row(lens, r: float, z_modulus: float,
+             quad: QuadratureConfig) -> LensIntegralResult:
+    """A batched lens function at a single |z|, with the strict contract."""
+    values, errs, converged = lens(r, np.array([math.atanh(z_modulus)]), quad)
+    value, err = float(values[0]), float(errs[0])
+    if not converged[0] and err > quad.tolerance(value):
+        raise QuadratureFailure(
+            f"lens integral at r={r}, |z|={z_modulus}: error estimate {err:.3e} "
+            f"exceeds tolerance {quad.tolerance(value):.3e} with {quad.scheme}")
+    return LensIntegralResult(value, err)
 
 
 def hyperbolic_lens_integral(r: float, z_modulus: float,
@@ -360,7 +392,7 @@ def hyperbolic_lens_integral(r: float, z_modulus: float,
     :class:`QuadratureFailure` if the tolerance cannot be certified.
     """
     _validate_lens_args(r, z_modulus)
-    return _lens_direct(r, z_modulus, quad, strict=True)
+    return _one_row(_lens_direct, r, z_modulus, quad)
 
 
 def hyperbolic_lens_integral_transformed(r: float, z_modulus: float,
@@ -383,4 +415,4 @@ def hyperbolic_lens_integral_transformed(r: float, z_modulus: float,
     a genuine cross-check.
     """
     _validate_lens_args(r, z_modulus)
-    return _lens_transformed(r, z_modulus, quad, strict=True)
+    return _one_row(_lens_transformed, r, z_modulus, quad)

@@ -17,6 +17,12 @@ integral of :func:`dppstats.geometry.hyperbolic_lens_integral`; the single
 factor 2 of the variance formula is absorbed into the 4 pi prefactor
 exactly once (2 from doubling I to a hyperbolic area, 2 pi from the angular
 integration of the radial measure).
+
+The radial integral runs in u = atanh(rho) against :func:`_radial_weight`.
+Each call of its integrand evaluates the lens integral at all of that
+call's nodes at once, through the batched lens functions of
+:mod:`dppstats.geometry`, and records the largest weighted inner error,
+which enters the error estimate as (range length) x (that supremum).
 """
 
 from __future__ import annotations
@@ -142,15 +148,30 @@ def _radial_cutoff(level: HyperbolicLevel, envelope: float, abs_tol: float):
 
     The u-integrand is bounded by M sech^{2 beta}(u) <= M 4^beta e^{-2 beta u}
     with M = ``envelope``, so the tail past U is below
-    M 4^beta e^{-2 beta U} / (2 beta).
+    M 4^beta e^{-2 beta U} / (2 beta).  Both are formed in log space, since
+    4^beta alone overflows a double once beta exceeds about 511.
     """
     beta = level.beta
     target = max(0.5 * abs_tol, 1e-300)
-    U = max(4.0, (math.log(max(envelope, 1e-300)) + beta * math.log(4.0)
-                  - math.log(2.0 * beta * target)) / (2.0 * beta))
+    log_scale = math.log(max(envelope, 1e-300)) + beta * math.log(4.0)
+    U = max(4.0, (log_scale - math.log(2.0 * beta * target)) / (2.0 * beta))
     U = min(U, 30.0)
-    tail = envelope * 4.0 ** beta * math.exp(-2.0 * beta * U) / (2.0 * beta)
+    tail = math.exp(log_scale - math.log(2.0 * beta) - 2.0 * beta * U)
     return U, tail
+
+
+def _radial_weight(level: HyperbolicLevel, u):
+    """Radial weight of the disc routes in u = atanh(rho), for an array ``u``.
+
+    tanh u cosh^2 u (beta/pi sech^{2 (nu - m)} u P_m^{(0, beta)}(2 sech^2 u - 1))^2,
+    i.e. rho (1 - rho^2)^{-1} times the profile of
+    :func:`dppstats.kernels.f_profile`, with drho = sech^2 u du absorbed.
+    """
+    beta = level.beta
+    rho = np.tanh(u)
+    sech2 = 1.0 / np.cosh(u) ** 2          # == 1 - rho^2, no cancellation
+    poly = jacobi_zero_beta(level.m, beta, 2.0 * sech2 - 1.0)
+    return rho / sech2 * (beta / math.pi * sech2 ** (level.nu - level.m) * poly) ** 2
 
 
 def _inner_config(quad: QuadratureConfig) -> QuadratureConfig:
@@ -169,26 +190,16 @@ def _variance_hyperbolic_radial(level: HyperbolicLevel, r: float,
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r}")
     beta = level.beta
-    nu_m = level.nu - level.m
     inner_quad = _inner_config(quad)
-    inner_err_sup = 0.0                          # sup over nodes of the error integrand
-
-    def outer_scalar(u: float) -> float:
-        nonlocal inner_err_sup
-        if u <= 0.0:
-            return 0.0
-        rho = math.tanh(u)
-        sech2 = 1.0 / math.cosh(u) ** 2          # == 1 - rho^2, no cancellation
-        poly = float(jacobi_zero_beta(level.m, beta, 2.0 * sech2 - 1.0))
-        weight = rho / sech2 * (beta / math.pi * sech2 ** nu_m * poly) ** 2
-        res = lens(r, rho, inner_quad, strict=False, z_atanh=u)
-        inner_err_sup = max(inner_err_sup, weight * res.error_estimate)
-        return weight * res.value
+    inner_err_sups = [0.0]                       # per outer call: sup of the error integrand
 
     def outer(u):
-        arr = np.asarray(u, dtype=float)
-        flat = np.array([outer_scalar(float(x)) for x in arr.ravel()])
-        return flat.reshape(arr.shape)
+        # every outer node's lens integral in one batched call
+        nodes = np.ravel(u).astype(float)
+        weight = _radial_weight(level, nodes)
+        value, err, _ = lens(r, nodes, inner_quad)
+        inner_err_sups.append(float(np.max(weight * err, initial=0.0)))
+        return (weight * value).reshape(np.shape(u))
 
     lens_max = 0.5 * math.pi * r * r / (1.0 - r * r)
     pmax_sq = _jacobi_endpoint_max(level) ** 2
@@ -202,7 +213,7 @@ def _variance_hyperbolic_radial(level: HyperbolicLevel, r: float,
                                     breakpoints=(kink, kink + 2.0))
     # inner errors propagate through at most (range length) x (sup of the
     # weighted inner error seen at the quadrature nodes)
-    err_total = err + tail + U * inner_err_sup
+    err_total = err + tail + U * max(inner_err_sups)
     return VarianceResult(max(4.0 * math.pi * value, 0.0),
                           4.0 * math.pi * err_total, route)
 
@@ -232,15 +243,11 @@ def asymptotic_constant(level: HyperbolicLevel,
     finite because 2 (nu - m) - 1 > 0.  Bounded above by 2 (nu - m) - 1.
     """
     beta = level.beta
-    nu_m = level.nu - level.m
 
     def outer(u):
         u = np.atleast_1d(u)
-        rho = np.tanh(u)
         sech2 = 1.0 / np.cosh(u) ** 2
-        poly = jacobi_zero_beta(level.m, beta, 2.0 * sech2 - 1.0)
-        prof = (beta / math.pi * sech2 ** nu_m * poly) ** 2
-        return rho / sech2 * prof * np.arccos(np.clip(2.0 * sech2 - 1.0, -1.0, 1.0))
+        return _radial_weight(level, u) * np.arccos(np.clip(2.0 * sech2 - 1.0, -1.0, 1.0))
 
     envelope = (beta / math.pi) ** 2 * _jacobi_endpoint_max(level) ** 2 * math.pi
     U, tail = _radial_cutoff(level, envelope, quad.abs_tol)

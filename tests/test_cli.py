@@ -180,6 +180,15 @@ class TestContractionCommand:
         assert header == ["scale", "scaled_variance", "euclidean_target", "ratio"]
         assert float(rows[0][3]) == pytest.approx(1.0, abs=0.05)
 
+    def test_large_scale_without_overflow(self, runner):
+        # R = 32 puts beta above 1000, where 4^beta would overflow a double
+        result = runner.invoke(cli, ["contraction", "--m", "0", "--r", "1",
+                                     "--scale", "32"])
+        assert result.exit_code == 0 and result.exception is None
+        assert "Traceback" not in result.output
+        header, rows = csv_rows(result.output)
+        assert float(rows[0][3]) == pytest.approx(1.0, abs=0.05)
+
     def test_invalid_scale_exits_2(self, runner):
         result = runner.invoke(cli, ["contraction", "--m", "0", "--r", "1",
                                      "--scale", "0.5"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dppstats import (DEFAULT_QUAD, Disc, DomainError, QuadratureConfig,
-                      euclidean_lens_complement_area, hyperbolic_distance,
+                      QuadratureFailure, euclidean_lens_complement_area, geometry, hyperbolic_distance,
                       hyperbolic_lens_integral,
                       hyperbolic_lens_integral_transformed, image_disc, mobius)
 
@@ -371,3 +371,37 @@ class TestHyperbolicLensIntegral:
             hyperbolic_lens_integral(1.0, 0.5)
         with pytest.raises(DomainError):
             hyperbolic_lens_integral(0.5, 1.0)
+
+
+class TestBatchedLens:
+    """Row k of a batched lens call against the public one-|z| functions."""
+
+    @pytest.mark.parametrize("scheme", ["gauss_legendre_fixed", "tanh_sinh"])
+    @pytest.mark.parametrize("batched, public", [
+        (geometry._lens_direct, hyperbolic_lens_integral),
+        (geometry._lens_transformed, hyperbolic_lens_integral_transformed)])
+    def test_rows_match_scalar_lens(self, scheme, batched, public):
+        cfg = QuadratureConfig(scheme=scheme, rel_tol=1e-12, abs_tol=1e-14)
+        r = 0.55
+        kink = 2 * r / (1 + r * r)
+        # |z| = 0, an empty range (u_z + u_r rounds to u_r), both sides of the
+        # kink and |z| -> 1
+        zs = [0.0, 1e-17, 0.1, kink * (1 - 1e-9), kink, kink * (1 + 1e-9), 0.9,
+              1 - 1e-9, 1 - 1e-12]
+        values, errs, ok = batched(r, np.arctanh(np.array(zs)), cfg)
+        assert ok.all()
+        assert values[0] == values[1] == errs[0] == errs[1] == 0.0
+        for z, v, e in zip(zs, values, errs):
+            one = public(r, z, cfg)
+            assert v == pytest.approx(one.value, rel=1e-13, abs=1e-300)
+            assert e <= max(1e-12, 1e-3 * abs(v))
+        assert values[-1] == pytest.approx(0.5 * math.pi * r * r / (1 - r * r), rel=1e-9)
+
+    def test_one_row_keeps_the_strict_contract(self):
+        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=1,
+                               radial_nodes=4)
+        for public in (hyperbolic_lens_integral, hyperbolic_lens_integral_transformed):
+            with pytest.raises(QuadratureFailure):
+                public(0.6, 0.5, cfg)
+        _, err, ok = geometry._lens_direct(0.6, np.array([math.atanh(0.5)]), cfg)
+        assert not ok[0] and err[0] > 0.0           # the batch itself never raises

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dppstats import QuadratureConfig, QuadratureFailure
-from dppstats.quadrature import SCHEMES, integrate_interval
+from dppstats import quadrature
+from dppstats.quadrature import SCHEMES, integrate_interval, integrate_rows
 
 
 class TestConfig:
@@ -73,3 +74,92 @@ class TestIntegrateInterval:
                                       0.0, 1.0, cfg, strict=False)
         assert math.isfinite(val)
         assert err > cfg.abs_tol
+
+
+class TestIntegrateRows:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_rows_match_one_interval_calls(self, scheme):
+        cfg = QuadratureConfig(scheme=scheme, rel_tol=1e-11, abs_tol=1e-13)
+        freq = np.array([1.0, 2.0, 5.0, 9.0])
+        hi = np.array([0.5, 1.0, 2.0, 3.0])
+        val, err, ok = integrate_rows(lambda x, k: np.sin(freq[k] * x), 0.0, hi, cfg)
+        assert ok.all() and (err >= 0.0).all()
+        for k in range(freq.size):
+            ref, _ = integrate_interval(lambda x: np.sin(freq[k] * x), 0.0, hi[k], cfg)
+            assert val[k] == pytest.approx(ref, rel=1e-10)
+            assert val[k] == pytest.approx((1 - math.cos(freq[k] * hi[k])) / freq[k],
+                                           rel=1e-10)
+
+    def test_gauss_legendre_rows_follow_the_scalar_doubling(self):
+        # same nodes, same acceptance test: value, error and flag per row agree
+        # with the one-interval routine to rounding
+        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=3)
+        shift = np.array([1e-4, 0.3, 1.0])
+        val, err, ok = integrate_rows(lambda x, k: 1.0 / (x + shift[k]), 0.0,
+                                     np.ones(shift.size), cfg)
+        for k in range(shift.size):
+            v, e, c = quadrature._gauss_legendre_doubling(
+                lambda x: 1.0 / (x + shift[k]), 0.0, 1.0, cfg.abs_tol, cfg.rel_tol,
+                cfg.radial_nodes, quadrature._gauss_legendre_max_nodes(cfg))
+            assert val[k] == pytest.approx(v, rel=1e-14)
+            assert err[k] == pytest.approx(e, rel=1e-6, abs=1e-15)
+            assert ok[k] == c
+        assert not ok[0] and ok[2]                 # the nearly singular row runs out
+
+    def test_converged_row_leaves_the_active_set(self):
+        # row 0 (a cubic) converges at the first comparison, 32 against 64
+        # nodes; row 1 keeps doubling and must not drag row 0 along
+        seen = []
+
+        def f(x, rows):
+            seen.append((x.shape[1], rows.ravel().tolist()))
+            return np.where(rows == 0, x ** 3, np.sqrt(x + 1e-3))
+
+        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
+        val, _, ok = integrate_rows(f, 0.0, np.ones(2), cfg)
+        assert ok[0] and val[0] == pytest.approx(0.25, rel=1e-14)
+        assert {n for n, rows in seen if 0 in rows} == {32, 64}
+        assert max(n for n, rows in seen if 1 in rows) > 64
+        assert all(rows == [1] for n, rows in seen if n > 64)
+
+    def test_empty_rows_are_zero_and_never_evaluated(self):
+        seen = []
+
+        def f(x, rows):
+            seen.extend(np.ravel(rows).tolist())
+            return np.ones_like(x)
+
+        val, err, ok = integrate_rows(f, np.array([0.0, 1.0, 2.0]),
+                                      np.array([0.0, 2.0, 2.0]), QuadratureConfig())
+        assert val.tolist() == [0.0, 1.0, 0.0] and err[0] == err[2] == 0.0
+        assert ok.all() and set(seen) == {1}
+
+    def test_node_block_caps_every_call(self, monkeypatch):
+        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
+        scale = np.linspace(0.5, 8.0, 40)
+
+        def run():
+            sizes = []
+
+            def f(x, rows):
+                sizes.append(x.size)
+                return np.exp(-scale[rows] * x * x)
+
+            return integrate_rows(f, 0.0, np.full(scale.size, 3.0), cfg), sizes
+
+        (val, err, ok), sizes = run()
+        assert max(sizes) > 512
+        monkeypatch.setattr(quadrature, "_NODE_BLOCK", 512)
+        (val_c, err_c, ok_c), sizes_c = run()
+        assert max(sizes_c) <= 512 and len(sizes_c) > len(sizes)
+        np.testing.assert_array_equal(val_c, val)
+        np.testing.assert_array_equal(err_c, err)
+        np.testing.assert_array_equal(ok_c, ok)
+
+    def test_acceptance_test_matches_max_form(self):
+        for err, value in [(1e-12, 0.0), (2e-12, 1e-3), (1e-9, 1.0), (1.1e-9, 1.0),
+                           (math.nan, 1.0), (1e-13, math.nan)]:
+            expected = err <= max(1e-12, 1e-9 * abs(value))
+            assert bool(quadrature._within_tol(err, value, 1e-12, 1e-9)) == expected
+            assert quadrature._within_tol(np.array([err]), np.array([value]),
+                                          1e-12, 1e-9)[0] == expected

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dppstats import (DomainError, EuclideanLevel, HyperbolicLevel,
                       QuadratureConfig, VarianceResult, asymptotic_constant,
-                      contraction_check, variance_euclidean_geometric,
+                      contraction_check, f_profile, geometry, quadrature,
+                      variance,
+                      variance_euclidean_geometric,
                       variance_euclidean_shirai, variance_hyperbolic,
                       variance_hyperbolic_via_transformed)
 
@@ -173,3 +177,96 @@ class TestVarianceResult:
         res = variance_hyperbolic(HyperbolicLevel(1.0, 0), 0.5)
         assert res.value >= 0.0
         assert res.error_estimate >= 0.0
+
+
+class TestLargeBeta:
+    """Radial cutoff and tail bound stay finite past beta ~ 511 (4^beta overflows)."""
+
+    def test_asymptotic_constant_at_large_nu(self):
+        level = HyperbolicLevel(300.0, 0)
+        c = asymptotic_constant(level)
+        assert math.isfinite(c) and 0.0 < c <= level.beta
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_contraction_reaches_scale_32(self, m):
+        rows = contraction_check(m, 1.0, [32.0])
+        assert rows[0].ratio == pytest.approx(1.0, abs=0.05)
+
+    def test_cutoff_tail_is_finite(self):
+        for nu in (300.0, 2000.0):
+            level = HyperbolicLevel(nu, 0)
+            U, tail = variance._radial_cutoff(level, 1e6, 1e-12)
+            assert 4.0 <= U <= 30.0 and 0.0 <= tail < 1e-12
+
+
+class TestRadialWeight:
+    def test_matches_kernel_profile(self):
+        for nu, m in [(1.0, 0), (2.0, 1), (3.5, 2)]:
+            level = HyperbolicLevel(nu, m)
+            u = np.linspace(0.05, 3.0, 25)      # the reference loses digits in 1 - rho^2
+            rho = np.tanh(u)
+            ref = [x / (1 - x * x) * f_profile(level, float(x)) for x in rho]
+            np.testing.assert_allclose(variance._radial_weight(level, u), ref, rtol=1e-12)
+
+
+class TestBatchedOuterIntegral:
+    def test_lens_integrand_calls_do_not_scale_with_outer_nodes(self, monkeypatch):
+        # int1 at (1, 0, 0.9): the lens integrand runs once per outer
+        # evaluation and inner doubling, on every outer node at once, instead
+        # of once per outer node
+        calls = []
+        real = geometry.integrate_rows
+
+        def counted(f, a, b, config):
+            def g(x, rows):
+                calls.append(np.shape(x))
+                return f(x, rows)
+            return real(g, a, b, config)
+
+        monkeypatch.setattr(geometry, "integrate_rows", counted)
+        res = variance_hyperbolic(HyperbolicLevel(1.0, 0), 0.9)
+        assert res.value == pytest.approx(peres_virag(0.9), rel=1e-9)
+        assert 0 < len(calls) <= 64
+        assert max(shape[0] for shape in calls) >= 64   # rows are outer nodes
+
+    def test_node_block_cap_leaves_values_unchanged(self, monkeypatch):
+        # int3 near r = 1 doubles deep: a small cap splits its rows into many
+        # chunks without changing a bit of the result
+        level = HyperbolicLevel(2.0, 1)
+        sizes = []
+        real = geometry.integrate_rows
+
+        def counted(f, a, b, config):
+            def g(x, rows):
+                sizes.append(np.size(x))
+                return f(x, rows)
+            return real(g, a, b, config)
+
+        monkeypatch.setattr(geometry, "integrate_rows", counted)
+        ref = variance_hyperbolic_via_transformed(level, 0.999)
+        assert max(sizes) > 4096
+        sizes.clear()
+        monkeypatch.setattr(quadrature, "_NODE_BLOCK", 4096)
+        capped = variance_hyperbolic_via_transformed(level, 0.999)
+        assert max(sizes) <= 4096
+        assert (capped.value, capped.error_estimate) == (ref.value, ref.error_estimate)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nu=st.floats(0.7, 8.0), m=st.integers(0, 2), r=st.floats(0.15, 0.999))
+    def test_routes_agree_within_error_bars(self, nu, m, r):
+        # beta >= 0.45 and r >= 0.15 stay clear of the small-beta tail (D3)
+        # and of the small-r regime, whose estimates are known to run short
+        assume(2.0 * (nu - m) - 1.0 >= 0.45 and m <= math.floor(nu - 0.5))
+        level = HyperbolicLevel(nu, m)
+        a = variance_hyperbolic(level, r)
+        b = variance_hyperbolic_via_transformed(level, r)
+        slack = 1e-13 * max(a.value, b.value)
+        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate + slack
+
+    @settings(max_examples=15, deadline=None)
+    @given(r=st.floats(0.15, 0.999))
+    def test_exact_ground_level_within_error_bars(self, r):
+        ref = peres_virag(r)
+        for route in (variance_hyperbolic, variance_hyperbolic_via_transformed):
+            res = route(HyperbolicLevel(1.0, 0), r)
+            assert abs(res.value - ref) <= res.error_estimate + 1e-13 * ref
