@@ -14,7 +14,8 @@ Conventions:
   failing run never leaves a partial file;
 * a relative ``--output`` is resolved against $DPPSTATS_OUTPUT_DIR when
   that variable is set;
-* exit codes: 0 success, 2 invalid parameters, 3 numerical failure
+* exit codes: 0 success, 2 invalid parameters (an ``--output`` that cannot
+  be written among them), 3 numerical failure
   (quadrature or series truncation).
 """
 
@@ -61,14 +62,17 @@ def _emit(text: str, output: str | None):
         if base:
             output = os.path.join(base, output)
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, output)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            _fail(f"cannot write {output}: {exc.strerror or exc}", EXIT_INVALID)
         raise
 
 
@@ -225,7 +229,7 @@ def asymptotics(nu, m, radii, scheme, rel_tol, abs_tol, fmt, output):
               help="Series tail bound.")
 @click.option("--s", "s_values", type=float, multiple=True,
               help="Evaluate the generating product at these s in (-1, 1).")
-@click.option("--samples", type=int, default=0, show_default=True,
+@click.option("--samples", type=click.IntRange(min=0), default=0, show_default=True,
               help="Monte Carlo draws to histogram (0 disables).")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
               help="Monte Carlo seed.")

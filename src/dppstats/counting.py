@@ -158,12 +158,12 @@ def build_profile(nu: float, r: float, epsilon: float = 1e-12,
     Raises :class:`TruncationFailure` if ``hard_cap`` indices do not
     suffice or if the two forms disagree.
     """
-    if not nu > 0.5:
-        raise DomainError(f"nu must exceed 1/2, got {nu}")
+    if not 0.5 < nu < math.inf:
+        raise DomainError(f"nu must be finite and exceed 1/2, got {nu}")
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r}")
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
     q = min(r * r + 0.01, 0.5 + 0.5 * r * r)   # strictly below 1, above lim p_{j+1}/p_j
     # stopping at p_J below this makes the geometric tail p_J q/(1-q) < epsilon
     p_stop = epsilon * (1.0 - q) / q
@@ -283,6 +283,8 @@ def sample_counts(profile: BernoulliProfile, seed: int, n_samples: int,
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    if seed < 0 or seed != int(seed):
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     p = profile.probabilities
     J = len(p)
     rows = max(1, min(chunk, _SAMPLE_BLOCK_UNIFORMS // max(J, 1)))

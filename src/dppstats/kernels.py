@@ -50,8 +50,8 @@ class HyperbolicLevel:
     m: int
 
     def __post_init__(self):
-        if not self.nu > 0.5:
-            raise DomainError(f"nu must exceed 1/2, got {self.nu}")
+        if not 0.5 < self.nu < math.inf:
+            raise DomainError(f"nu must be finite and exceed 1/2, got {self.nu}")
         if self.m < 0 or self.m != int(self.m):
             raise DomainError(f"m must be a non-negative integer, got {self.m}")
         if self.m > math.floor(self.nu - 0.5):
@@ -116,14 +116,19 @@ def hyperbolic_kernel_abs_sq(level: HyperbolicLevel, z: complex, w: complex) -> 
     if not (abs(z) < 1.0 and abs(w) < 1.0):
         raise DomainError("kernel arguments must lie in the open unit disc")
     rho = abs(z - w) / abs(1.0 - z * w.conjugate())
-    prof = _profile_at_sq(level, rho * rho)
+    prof = _radial_profile(level, 1.0 - rho * rho)
     return prof / ((1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)) ** (2.0 * level.nu)
 
 
-def _profile_at_sq(level: HyperbolicLevel, rho_sq: float) -> float:
+def _radial_profile(level: HyperbolicLevel, g):
+    """(beta/pi g^{nu - m} P_m^{(0, beta)}(2 g - 1))^2 with g = 1 - rho^2.
+
+    The one home of the radial weight profile, for a scalar or an array
+    ``g``; callers pass g in whichever cancellation-free form they hold.
+    """
     beta = level.beta
-    base = beta / math.pi * (1.0 - rho_sq) ** (level.nu - level.m)
-    return (base * jacobi_zero_beta(level.m, beta, 1.0 - 2.0 * rho_sq)) ** 2
+    return (beta / math.pi * g ** (level.nu - level.m)
+            * jacobi_zero_beta(level.m, beta, 2.0 * g - 1.0)) ** 2
 
 
 def f_profile(level: HyperbolicLevel, rho: float) -> float:
@@ -135,4 +140,4 @@ def f_profile(level: HyperbolicLevel, rho: float) -> float:
     """
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
-    return _profile_at_sq(level, rho * rho)
+    return _radial_profile(level, 1.0 - rho * rho)

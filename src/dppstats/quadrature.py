@@ -8,30 +8,35 @@ Three interchangeable schemes sit behind :class:`QuadratureConfig`:
 * ``tanh_sinh``              -- double-exponential rule
   (:func:`scipy.integrate.tanhsinh`).
 
-Every entry point returns a ``(value, error_estimate)`` pair.  The callers
-in this package always integrate smooth pieces (endpoint singularities are
-removed by explicit substitutions before the engines are invoked), so the
-node-doubling Gauss-Legendre scheme converges spectrally and is the
-default.
+The callers in this package always integrate smooth pieces (endpoint
+singularities are removed by explicit substitutions before the engines are
+invoked), so the node-doubling Gauss-Legendre scheme converges spectrally
+and is the default.
 
-Two entry points share the schemes.  :func:`integrate_interval` integrates
-one vectorized callable over one interval.  :func:`integrate_rows`
-integrates a family of integrands, one per row, each over its own limits;
-the disc variance routes use it to evaluate the lens integral at every
-outer node in one array pass.  Its integrand sees a (rows x nodes) matrix
-of nodes together with the row indices, so per-row parameters broadcast as
-``params[rows]``.  Under ``gauss_legendre_fixed`` every row doubles its
-order on its own and leaves the active set as soon as it passes the same
-acceptance test as the one-interval scheme; ``tanh_sinh`` makes one
-vectorized :func:`scipy.integrate.tanhsinh` call with array limits; and
+There is one engine, :func:`integrate_rows`, with one implementation of
+each scheme.  It integrates a family of integrands, one per row, each over
+its own limits; the disc variance routes use it to evaluate the lens
+integral at every outer node in one array pass.  Its integrand sees a
+(rows x nodes) matrix of nodes together with the row indices, so per-row
+parameters broadcast as ``params[rows]``.  Under ``gauss_legendre_fixed``
+every row doubles its order on its own and leaves the active set as soon
+as it passes the acceptance test; ``tanh_sinh`` makes one vectorized
+:func:`scipy.integrate.tanhsinh` call with array limits; and
 ``adaptive_gauss_kronrod`` runs one QUADPACK call per row, because QUADPACK
 is scalar.  No single integrand call sees more than ``_NODE_BLOCK`` = 2^20
 nodes (8 MB per array of doubles): the active rows are split into chunks
 that fit.
+
+:func:`integrate_interval` integrates one vectorized callable over [a, b]
+and returns a ``(value, error_estimate)`` pair.  It splits the interval at
+its breakpoints and hands the pieces to :func:`integrate_rows` as rows, so
+the pieces share every integrand call, and raises
+:class:`QuadratureFailure` when the requested tolerance is missed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +83,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         if self.radial_nodes < 2:
@@ -104,38 +109,9 @@ def _gauss_legendre_max_nodes(config: QuadratureConfig) -> int:
     return config.radial_nodes * 2 ** min(config.max_subdivisions, 8)
 
 
-def _gauss_legendre_doubling(f, a, b, abs_tol, rel_tol, n0, n_max):
-    """Gauss-Legendre on [a, b] doubling the order until converged.
-
-    ``f`` must accept an ndarray of nodes.  Returns (value, error_estimate,
-    converged); the error estimate is the difference between the last two
-    refinements, which is conservative for smooth integrands.
-    """
-    if a == b:
-        return 0.0, 0.0, True
-    half, mid = 0.5 * (b - a), 0.5 * (b + a)
-    x, w = _leggauss(n0)
-    prev = half * float(np.dot(w, f(mid + half * x)))
-    n = 2 * n0
-    err = np.inf
-    while n <= n_max:
-        x, w = _leggauss(n)
-        cur = half * float(np.dot(w, f(mid + half * x)))
-        err = abs(cur - prev)
-        if _within_tol(err, cur, abs_tol, rel_tol):
-            return cur, err, True
-        prev = cur
-        n *= 2
-    return prev, err, False
-
-
 def _kronrod_converged(value, err, config: QuadratureConfig) -> bool:
     # the acceptance limit of the QUADPACK scheme: ten tolerances
     return err <= config.tolerance(value) * 10.0
-
-
-def _as_scalar_f(f):
-    return lambda x: float(f(np.array([x]))[0])
 
 
 def _row_blocks(rows: np.ndarray, nodes_per_row: int):
@@ -161,11 +137,14 @@ def _gauss_legendre_rows_sum(f, rows, mid, half, n):
 
 
 def _gauss_legendre_rows(f, a, b, active, abs_tol, rel_tol, n0, n_max):
-    """Per-row :func:`_gauss_legendre_doubling` over the ``active`` rows.
+    """Node-doubling Gauss-Legendre over the ``active`` rows.
 
-    Every row doubles its order on its own and leaves the active set once it
-    passes :func:`_within_tol`; its value, error and flag follow the
-    one-interval routine exactly.  Rows outside ``active`` stay (0, 0, True).
+    Every row doubles its order on its own, from ``n0`` up to ``n_max``
+    nodes, and leaves the active set once the difference between its last
+    two refinements passes :func:`_within_tol`.  That difference is the
+    row's error estimate, conservative for smooth integrands; a row that
+    runs out of nodes keeps its last refinement, unconverged.  Rows outside
+    ``active`` stay (0, 0, True).
     """
     value = np.zeros(a.size)
     err = np.zeros(a.size)
@@ -184,46 +163,6 @@ def _gauss_legendre_rows(f, a, b, active, abs_tol, rel_tol, n0, n_max):
     return value, err, converged
 
 
-def integrate_interval(f, a: float, b: float, config: QuadratureConfig,
-                       breakpoints=(), strict: bool = True):
-    """Integrate a vectorized callable over [a, b] under ``config``.
-
-    ``breakpoints`` are interior points where the integrand is continuous
-    but not smooth; the interval is split there for every scheme.  With
-    ``strict`` the requested tolerance is enforced via
-    :class:`QuadratureFailure`; otherwise the best estimate and its error
-    are returned and the caller folds the error into its own budget.
-    """
-    if a == b:
-        return 0.0, 0.0
-    cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    total, err = 0.0, 0.0
-    converged = True
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if config.scheme == "gauss_legendre_fixed":
-            v, e, ok = _gauss_legendre_doubling(
-                f, lo, hi, config.abs_tol, config.rel_tol,
-                config.radial_nodes, _gauss_legendre_max_nodes(config))
-        elif config.scheme == "adaptive_gauss_kronrod":
-            v, e = integrate.quad(
-                _as_scalar_f(f), lo, hi, epsabs=config.abs_tol,
-                epsrel=config.rel_tol, limit=max(config.max_subdivisions, 50))
-            ok = _kronrod_converged(v, e, config)
-        else:  # tanh_sinh
-            res = integrate.tanhsinh(f, lo, hi, atol=config.abs_tol,
-                                     rtol=config.rel_tol)
-            v, e, ok = float(res.integral), float(res.error), bool(res.success)
-        total += v
-        err += e
-        converged = converged and ok
-        # a busted prefix cannot be rescued by later pieces; fail fast
-        if strict and not converged and err > config.tolerance(total):
-            raise QuadratureFailure(
-                f"error estimate {err:.3e} exceeds tolerance "
-                f"{config.tolerance(total):.3e} on [{a}, {b}] with {config.scheme}")
-    return total, err
-
-
 def integrate_rows(f, a, b, config: QuadratureConfig):
     """Integrate one integrand per row over per-row limits [a_k, b_k].
 
@@ -231,9 +170,8 @@ def integrate_rows(f, a, b, config: QuadratureConfig):
     ``rows`` that broadcast against it (a (rows x 1) column beside a
     (rows x nodes) matrix, equal shapes, or one plain ``int`` for the
     single-node calls of ``adaptive_gauss_kronrod``), and returns the
-    integrand values at ``x``, row k using the parameters of row k.  The rows are independent: each
-    gets the same treatment :func:`integrate_interval` gives one interval
-    without breakpoints, batched as described in the module docstring.
+    integrand values at ``x``, row k using the parameters of row k.  The
+    rows are independent, batched as described in the module docstring.
 
     Returns ``(value, error_estimate, converged)`` arrays.  Nothing is
     raised on non-convergence; the caller decides what a failed row means.
@@ -265,3 +203,32 @@ def integrate_rows(f, a, b, config: QuadratureConfig):
             atol=config.abs_tol, rtol=config.rel_tol)
         value[block], err[block], converged[block] = res.integral, res.error, res.success
     return value, err, converged
+
+
+def integrate_interval(f, a: float, b: float, config: QuadratureConfig,
+                       breakpoints=()):
+    """Integrate a vectorized callable over [a, b] under ``config``.
+
+    ``breakpoints`` are interior points where the integrand is continuous
+    but not smooth; the interval is split there, and the pieces are the
+    rows of one :func:`integrate_rows` call, so every integrand call sees
+    the nodes of all pieces still refining.  The pieces are summed in
+    order; :class:`QuadratureFailure` is raised at the first prefix that
+    has not converged and whose summed error estimate exceeds the
+    tolerance of its summed value.  Returns ``(value, error_estimate)``.
+    """
+    if a == b:
+        return 0.0, 0.0
+    cuts = np.array(sorted({a, b, *(p for p in breakpoints if a < p < b)}))
+    values, errs, oks = integrate_rows(lambda x, rows: f(x), cuts[:-1], cuts[1:], config)
+    total, err = 0.0, 0.0
+    converged = True
+    for v, e, ok in zip(values.tolist(), errs.tolist(), oks.tolist()):
+        total += v
+        err += e
+        converged = converged and ok
+        if not converged and err > config.tolerance(total):
+            raise QuadratureFailure(
+                f"error estimate {err:.3e} exceeds tolerance "
+                f"{config.tolerance(total):.3e} on [{a}, {b}] with {config.scheme}")
+    return total, err

@@ -18,17 +18,19 @@ factor 2 of the variance formula is absorbed into the 4 pi prefactor
 exactly once (2 from doubling I to a hyperbolic area, 2 pi from the angular
 integration of the radial measure).
 
-The radial integral runs in u = atanh(rho) against :func:`_radial_weight`.
-Each call of its integrand evaluates the lens integral at all of that
-call's nodes at once, through the batched lens functions of
-:mod:`dppstats.geometry`, and records the largest weighted inner error,
-which enters the error estimate as (range length) x (that supremum).
+The radial integral runs in u = atanh(rho) against :func:`_radial_weight`,
+split at the lens kink into three pieces that refine together.  Each call
+of its integrand holds the nodes of every piece still refining and
+evaluates the lens integral at all of them at once, through the batched
+lens functions of :mod:`dppstats.geometry`; it records the largest
+weighted inner error, which enters the error estimate as
+(range length) x (that supremum).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,9 +38,9 @@ import numpy as np
 from .exceptions import DomainError
 from .geometry import (_lens_direct, _lens_transformed,
                        euclidean_lens_complement_area)
-from .kernels import EuclideanLevel, HyperbolicLevel
+from .kernels import EuclideanLevel, HyperbolicLevel, _radial_profile
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate_interval
-from .specfun import jacobi_zero_beta, laguerre, log_pochhammer
+from .specfun import laguerre, log_pochhammer
 
 __all__ = [
     "VarianceResult",
@@ -86,8 +88,8 @@ def variance_euclidean_shirai(level: EuclideanLevel, r: float,
     theta = arcsin(min(1, sqrt(t)/(2r))).  The outer integral is truncated
     at T with an explicit exponential tail bound below abs_tol.
     """
-    if not r > 0.0:
-        raise DomainError(f"r must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"r must be finite and positive, got {r}")
     n = level.n
 
     def weighted(t):
@@ -121,8 +123,8 @@ def variance_euclidean_geometric(level: EuclideanLevel, r: float,
     truncated at rho = max(2r, 1) + 8 where the Gaussian weight makes the
     tail negligible (bound below abs_tol by construction).
     """
-    if not r > 0.0:
-        raise DomainError(f"r must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"r must be finite and positive, got {r}")
     n = level.n
 
     def f(rho):
@@ -167,21 +169,14 @@ def _radial_weight(level: HyperbolicLevel, u):
     i.e. rho (1 - rho^2)^{-1} times the profile of
     :func:`dppstats.kernels.f_profile`, with drho = sech^2 u du absorbed.
     """
-    beta = level.beta
-    rho = np.tanh(u)
     sech2 = 1.0 / np.cosh(u) ** 2          # == 1 - rho^2, no cancellation
-    poly = jacobi_zero_beta(level.m, beta, 2.0 * sech2 - 1.0)
-    return rho / sech2 * (beta / math.pi * sech2 ** (level.nu - level.m) * poly) ** 2
+    return np.tanh(u) / sech2 * _radial_profile(level, sech2)
 
 
 def _inner_config(quad: QuadratureConfig) -> QuadratureConfig:
     # the lens integral must be resolved below the outer tolerance
-    return QuadratureConfig(
-        scheme=quad.scheme,
-        rel_tol=max(quad.rel_tol * 1e-2, 1e-13),
-        abs_tol=max(quad.abs_tol * 1e-2, 1e-14),
-        max_subdivisions=quad.max_subdivisions,
-        radial_nodes=quad.radial_nodes)
+    return replace(quad, rel_tol=max(quad.rel_tol * 1e-2, 1e-13),
+                   abs_tol=max(quad.abs_tol * 1e-2, 1e-14))
 
 
 def _variance_hyperbolic_radial(level: HyperbolicLevel, r: float,
@@ -206,9 +201,7 @@ def _variance_hyperbolic_radial(level: HyperbolicLevel, r: float,
     envelope = (beta / math.pi) ** 2 * pmax_sq * lens_max
     U, tail = _radial_cutoff(level, envelope, quad.abs_tol)
     kink = math.atanh(2.0 * r / (1.0 + r * r))   # lens inner boundary switches here
-    piece_quad = QuadratureConfig(
-        scheme=quad.scheme, rel_tol=quad.rel_tol, abs_tol=quad.abs_tol / 4.0,
-        max_subdivisions=quad.max_subdivisions, radial_nodes=quad.radial_nodes)
+    piece_quad = replace(quad, abs_tol=quad.abs_tol / 4.0)
     value, err = integrate_interval(outer, 0.0, U, piece_quad,
                                     breakpoints=(kink, kink + 2.0))
     # inner errors propagate through at most (range length) x (sup of the
@@ -272,8 +265,8 @@ def contraction_check(m: int, r: float, R_values: Sequence[float],
     """
     if m < 0 or m != int(m):
         raise DomainError(f"m must be a non-negative integer, got {m}")
-    if not r > 0.0:
-        raise DomainError(f"r must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"r must be finite and positive, got {r}")
     target = variance_euclidean_geometric(EuclideanLevel(int(m)), r, quad).value
     rows = []
     for R in R_values:

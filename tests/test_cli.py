@@ -230,3 +230,89 @@ class TestOutputFiles:
             env={"DPPSTATS_OUTPUT_DIR": str(tmp_path)})
         assert result.exit_code == 0
         assert (tmp_path / "rel.csv").exists()
+
+    @pytest.mark.parametrize("target", ["missing/out.csv", "taken"])
+    def test_unwritable_output_exits_2(self, runner, tmp_path, target):
+        # a missing directory, and a path that names an existing directory
+        (tmp_path / "taken").mkdir()
+        result = runner.invoke(cli, ["variance", "--nu", "1", "--m", "0",
+                                     "--r", "0.5", "--output", str(tmp_path / target)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: cannot write ")
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+        assert os.listdir(tmp_path / "taken") == []
+
+
+class TestOutOfDomainArguments:
+    """Regression tests: each of these used to exit 0, or exit 1 with a traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ["variance", "--nu", "1", "--m", "0", "--r", "0.5", "--rel-tol", "nan"],
+        ["variance", "--nu", "1", "--m", "0", "--r", "0.5", "--abs-tol", "inf"],
+        ["variance", "--nu", "inf", "--m", "0", "--r", "0.5"],
+        ["contraction", "--m", "0", "--r", "1", "--scale", "inf"],
+        ["contraction", "--m", "0", "--r", "1", "--scale", "1e300"],
+        ["variance", "--euclidean", "--n", "1", "--r", "inf"],
+        ["distribution", "--nu", "inf", "--r", "0.5"],
+        ["distribution", "--nu", "1", "--r", "0.5", "--samples", "-3"],
+        ["distribution", "--nu", "1", "--r", "0.5", "--samples", "5", "--seed", "-1"],
+    ])
+    def test_exits_2(self, runner, args):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+
+
+FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "1"]
+_QUAD_OPTIONS = ("--rel-tol", "--abs-tol")
+# (valid base arguments, options fuzzed over FUZZ_VALUES, integer options
+# fuzzed over their own values); every numeric option of every subcommand
+FUZZ_GRID = [
+    (["variance", "--nu", "1", "--m", "0", "--r", "0.5"],
+     ("--nu", "--r") + _QUAD_OPTIONS, {"--m": ["-1", "1", "3"]}),
+    (["variance", "--euclidean", "--n", "1", "--r", "0.5"],
+     ("--r",) + _QUAD_OPTIONS, {"--n": ["-1", "0", "40"]}),
+    (["asymptotics", "--nu", "1", "--m", "0", "--r", "0.5"],
+     ("--nu", "--r") + _QUAD_OPTIONS, {"--m": ["-1", "1", "3"]}),
+    (["distribution", "--nu", "1", "--r", "0.5", "--samples", "10"],
+     ("--nu", "--r", "--epsilon", "--s", "--samples", "--seed"), {}),
+    (["contraction", "--m", "0", "--r", "1", "--scale", "4"],
+     ("--r", "--scale") + _QUAD_OPTIONS, {"--m": ["-1", "1", "3"]}),
+]
+
+
+def _with_option(base, option, value):
+    args = list(base)
+    if option in args:
+        args[args.index(option) + 1] = value
+    else:
+        args += [option, value]
+    return args
+
+
+def _fuzz_cases():
+    for base, options, int_options in FUZZ_GRID:
+        for option in options:
+            for value in FUZZ_VALUES:
+                yield _with_option(base, option, value)
+        for option, values in int_options.items():
+            for value in values:
+                yield _with_option(base, option, value)
+
+
+def test_cli_fuzz_grid_exits_cleanly(runner):
+    # a deterministic grid of in- and out-of-domain arguments: every run
+    # exits 0, 2 or 3, raises nothing but SystemExit, and a success prints
+    # no nan
+    cases = list(_fuzz_cases())
+    assert len(cases) > 150
+    for args in cases:
+        result = runner.invoke(cli, args)
+        where = " ".join(args)
+        assert result.exit_code in (0, 2, 3), where
+        assert result.exception is None or isinstance(result.exception, SystemExit), where
+        if result.exit_code == 0:
+            assert "nan" not in result.output.lower(), where
+        assert "Traceback" not in result.output, where

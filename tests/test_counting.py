@@ -123,6 +123,14 @@ class TestBuildProfile:
         with pytest.raises(DomainError):
             build_profile(1.0, 0.5, epsilon=0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_parameters(self, bad):
+        # nu = inf used to search 100000 terms and end in TruncationFailure
+        with pytest.raises(DomainError):
+            build_profile(bad, 0.5)
+        with pytest.raises(DomainError):
+            build_profile(1.0, 0.5, epsilon=bad)
+
 
 class TestGeneratingFunction:
     def test_at_zero(self):
@@ -276,3 +284,8 @@ class TestSampling:
         profile = build_profile(1.0, 0.5)
         with pytest.raises(DomainError):
             sample_counts(profile, 0, 0)
+
+    def test_rejects_negative_seed(self):
+        # the Philox seed sequence used to raise a bare ValueError
+        with pytest.raises(DomainError):
+            sample_counts(build_profile(1.0, 0.5), -1, 5)

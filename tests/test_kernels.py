@@ -36,6 +36,12 @@ class TestLevels:
         with pytest.raises(DomainError):
             HyperbolicLevel(2.0, -1)
 
+    @pytest.mark.parametrize("nu", [math.inf, -math.inf, math.nan])
+    def test_hyperbolic_rejects_non_finite_nu(self, nu):
+        # an infinite nu used to reach math.floor and raise OverflowError
+        with pytest.raises(DomainError):
+            HyperbolicLevel(nu, 0)
+
     def test_admissible_range(self):
         # nu = 5 admits m = 0..4, all with positive beta
         for m in range(5):

@@ -2,10 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from dppstats import QuadratureConfig, QuadratureFailure
 from dppstats import quadrature
 from dppstats.quadrature import SCHEMES, integrate_interval, integrate_rows
+
+
+def scalar_gauss_legendre_doubling(f, a, b, abs_tol, rel_tol, n0, n_max):
+    """Reference: node-doubling Gauss-Legendre on one interval, one call per order.
+
+    Returns (value, error_estimate, converged); the estimate is the
+    difference between the last two refinements.
+    """
+    half, mid = 0.5 * (b - a), 0.5 * (b + a)
+    x, w = special.roots_legendre(n0)
+    prev = half * float(np.dot(w, f(mid + half * x)))
+    n = 2 * n0
+    err = math.inf
+    while n <= n_max:
+        x, w = special.roots_legendre(n)
+        cur = half * float(np.dot(w, f(mid + half * x)))
+        err = abs(cur - prev)
+        if err <= max(abs_tol, rel_tol * abs(cur)):
+            return cur, err, True
+        prev = cur
+        n *= 2
+    return prev, err, False
 
 
 class TestConfig:
@@ -19,6 +42,11 @@ class TestConfig:
             QuadratureConfig(scheme="simpson")
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                QuadratureConfig(rel_tol=bad)
+            with pytest.raises(ValueError):
+                QuadratureConfig(abs_tol=bad)
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
         with pytest.raises(ValueError):
@@ -66,14 +94,35 @@ class TestIntegrateInterval:
         with pytest.raises(QuadratureFailure):
             integrate_interval(lambda x: 1.0 / np.sqrt(np.abs(x - 0.3)), 0.0, 1.0, cfg)
 
-    def test_non_strict_returns_estimate(self):
-        cfg = QuadratureConfig(scheme="gauss_legendre_fixed",
-                               rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=3,
+    def test_failing_prefix_raises_although_the_total_meets_its_tolerance(self):
+        # the first piece runs out of nodes with an error far above its own
+        # tolerance but below that of the large total; the prefix decides
+        cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-15, max_subdivisions=3,
                                radial_nodes=8)
-        val, err = integrate_interval(lambda x: 1.0 / np.sqrt(np.abs(x - 0.3)),
-                                      0.0, 1.0, cfg, strict=False)
-        assert math.isfinite(val)
-        assert err > cfg.abs_tol
+
+        def f(x):
+            return np.where(x < 1.0, 1e-3 / np.sqrt(np.abs(x - 0.3)), 1e3)
+
+        val, err, ok = integrate_rows(lambda x, rows: f(x), np.array([0.0, 1.0]),
+                                      np.array([1.0, 2.0]), cfg)
+        assert not ok[0] and ok[1]
+        assert cfg.tolerance(val[0]) < err[0] and err.sum() < cfg.tolerance(val.sum())
+        with pytest.raises(QuadratureFailure, match=r"exceeds tolerance .* on \[0.0, 2.0\]"):
+            integrate_interval(f, 0.0, 2.0, cfg, breakpoints=(1.0,))
+
+    def test_pieces_share_one_call_per_doubling_level(self):
+        # three pieces of sqrt(x + 0.01): the first, nearest the branch point,
+        # refines longest; each level is one call holding every active piece
+        calls = []
+
+        def f(x):
+            calls.append(np.shape(x))
+            return np.sqrt(x + 0.01)
+
+        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
+        val, _ = integrate_interval(f, 0.0, 3.0, cfg, breakpoints=(2.0, 1.0, 5.0))
+        assert val == pytest.approx(2.0 / 3.0 * (3.01 ** 1.5 - 0.01 ** 1.5), rel=1e-12)
+        assert calls == [(3, 32), (3, 64), (1, 128)]
 
 
 class TestIntegrateRows:
@@ -92,13 +141,13 @@ class TestIntegrateRows:
 
     def test_gauss_legendre_rows_follow_the_scalar_doubling(self):
         # same nodes, same acceptance test: value, error and flag per row agree
-        # with the one-interval routine to rounding
+        # with the one-interval reference to rounding
         cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=3)
         shift = np.array([1e-4, 0.3, 1.0])
         val, err, ok = integrate_rows(lambda x, k: 1.0 / (x + shift[k]), 0.0,
                                      np.ones(shift.size), cfg)
         for k in range(shift.size):
-            v, e, c = quadrature._gauss_legendre_doubling(
+            v, e, c = scalar_gauss_legendre_doubling(
                 lambda x: 1.0 / (x + shift[k]), 0.0, 1.0, cfg.abs_tol, cfg.rel_tol,
                 cfg.radial_nodes, quadrature._gauss_legendre_max_nodes(cfg))
             assert val[k] == pytest.approx(v, rel=1e-14)

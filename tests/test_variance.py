@@ -53,6 +53,13 @@ class TestEuclideanRoutes:
         with pytest.raises(DomainError):
             variance_euclidean_geometric(EuclideanLevel(0), -1.0)
 
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_rejects_non_finite_radius(self, r):
+        # an infinite radius used to run for seconds and return nan
+        for route in (variance_euclidean_shirai, variance_euclidean_geometric):
+            with pytest.raises(DomainError):
+                route(EuclideanLevel(1), r)
+
 
 class TestHyperbolicVariance:
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.8, 0.95])
@@ -166,6 +173,11 @@ class TestContraction:
             contraction_check(0, 1.0, [0.5])
         with pytest.raises(DomainError):
             contraction_check(0, 5.0, [4.0])   # r/R not inside (0, 1)
+        with pytest.raises(DomainError):
+            contraction_check(0, math.inf, [4.0])
+        for scale in (math.inf, 1e300):          # nu = R^2/2 is not finite
+            with pytest.raises(DomainError):
+                contraction_check(0, 1.0, [scale])
 
 
 class TestVarianceResult:
