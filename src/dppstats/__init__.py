@@ -8,7 +8,7 @@ from .counting import (BernoulliProfile, CountDistribution, binomial_moment,
                        build_profile, distribution, generating_function,
                        sample_counts, variance_series)
 from .exceptions import DomainError, QuadratureFailure, TruncationFailure
-from .geometry import (Disc, ImageDisc, LensIntegralResult,
+from .geometry import (ImageDisc, LensIntegralResult,
                        euclidean_lens_complement_area, hyperbolic_distance,
                        hyperbolic_lens_integral,
                        hyperbolic_lens_integral_transformed, image_disc,
@@ -17,8 +17,7 @@ from .kernels import (EuclideanLevel, HyperbolicLevel, f_profile,
                       fock_kernel_sq_weighted, hyperbolic_kernel,
                       hyperbolic_kernel_abs_sq)
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
-from .specfun import (incomplete_beta, incomplete_beta_ratio, jacobi_zero_beta,
-                      laguerre, log_pochhammer, pochhammer)
+from .specfun import jacobi_zero_beta, laguerre, log_pochhammer
 from .variance import (ContractionRow, VarianceResult, asymptotic_constant,
                        contraction_check, variance_euclidean_geometric,
                        variance_euclidean_shirai, variance_hyperbolic,
@@ -31,7 +30,6 @@ __all__ = [
     "ContractionRow",
     "CountDistribution",
     "DEFAULT_QUAD",
-    "Disc",
     "DomainError",
     "EuclideanLevel",
     "HyperbolicLevel",
@@ -56,13 +54,10 @@ __all__ = [
     "hyperbolic_lens_integral",
     "hyperbolic_lens_integral_transformed",
     "image_disc",
-    "incomplete_beta",
-    "incomplete_beta_ratio",
     "jacobi_zero_beta",
     "laguerre",
     "log_pochhammer",
     "mobius",
-    "pochhammer",
     "sample_counts",
     "variance_euclidean_geometric",
     "variance_euclidean_shirai",

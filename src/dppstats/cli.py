@@ -32,7 +32,7 @@ import numpy as np
 from .counting import build_profile, distribution, generating_function, sample_counts
 from .exceptions import DomainError, QuadratureFailure, TruncationFailure
 from .kernels import EuclideanLevel, HyperbolicLevel
-from .quadrature import SCHEMES, QuadratureConfig
+from .quadrature import QuadratureConfig
 from .variance import (asymptotic_constant, contraction_check,
                        variance_euclidean_geometric, variance_euclidean_shirai,
                        variance_hyperbolic, variance_hyperbolic_via_transformed)
@@ -102,9 +102,6 @@ def _guarded(fn, *args, **kwargs):
 
 
 def _quad_options(fn):
-    fn = click.option("--scheme", type=click.Choice(SCHEMES),
-                      default="gauss_legendre_fixed", show_default=True,
-                      help="Quadrature scheme.")(fn)
     fn = click.option("--rel-tol", type=float, default=DEFAULT_REL_TOL,
                       show_default=True, help="Relative quadrature tolerance.")(fn)
     fn = click.option("--abs-tol", type=float, default=DEFAULT_ABS_TOL,
@@ -121,9 +118,9 @@ def _output_options(fn):
     return fn
 
 
-def _make_quad(scheme, rel_tol, abs_tol) -> QuadratureConfig:
+def _make_quad(rel_tol, abs_tol) -> QuadratureConfig:
     try:
-        return QuadratureConfig(scheme=scheme, rel_tol=rel_tol, abs_tol=abs_tol)
+        return QuadratureConfig(rel_tol=rel_tol, abs_tol=abs_tol)
     except ValueError as exc:
         _fail(str(exc), EXIT_INVALID)
 
@@ -146,9 +143,9 @@ def cli():
                                  "routes of the chosen geometry.")
 @_quad_options
 @_output_options
-def variance(euclidean, n, nu, m, radii, route, scheme, rel_tol, abs_tol, fmt, output):
+def variance(euclidean, n, nu, m, radii, route, rel_tol, abs_tol, fmt, output):
     """Count variance in centred discs; one row per (r, route)."""
-    quad = _make_quad(scheme, rel_tol, abs_tol)
+    quad = _make_quad(rel_tol, abs_tol)
     if euclidean:
         if n is None:
             _fail("--euclidean requires --n", EXIT_INVALID)
@@ -198,9 +195,9 @@ def variance(euclidean, n, nu, m, radii, route, scheme, rel_tol, abs_tol, fmt, o
               help="Radii approaching 1; repeat for a custom grid.")
 @_quad_options
 @_output_options
-def asymptotics(nu, m, radii, scheme, rel_tol, abs_tol, fmt, output):
+def asymptotics(nu, m, radii, rel_tol, abs_tol, fmt, output):
     """Table of (1 - r^2) Var(N_r) against its r -> 1 limit constant."""
-    quad = _make_quad(scheme, rel_tol, abs_tol)
+    quad = _make_quad(rel_tol, abs_tol)
     level = _guarded(HyperbolicLevel, nu, m)
     constant = _guarded(asymptotic_constant, level, quad)
     if constant > level.beta:
@@ -277,9 +274,9 @@ def distribution_cmd(nu, r, epsilon, s_values, samples, seed, fmt, output):
               help="Rescaling factors R; repeat for a custom list.")
 @_quad_options
 @_output_options
-def contraction(m, r, scales, scheme, rel_tol, abs_tol, fmt, output):
+def contraction(m, r, scales, rel_tol, abs_tol, fmt, output):
     """Curvature-rescaling table: R^2 Var against the planar target."""
-    quad = _make_quad(scheme, rel_tol, abs_tol)
+    quad = _make_quad(rel_tol, abs_tol)
     rows = _guarded(contraction_check, m, r, scales, quad)
     if fmt == "csv":
         _emit(_csv(["scale", "scaled_variance", "euclidean_target", "ratio"],

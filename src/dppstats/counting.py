@@ -9,7 +9,7 @@ probabilities are ratios of incomplete to complete beta integrals,
 
 This module builds truncated probability profiles with certified geometric
 tail bounds, evaluates the probability generating product, the exact
-Poisson-binomial pmf, binomial moments through the cycle-type sum, the
+Poisson-binomial pmf, binomial moments by Newton's identities, the
 variance series, and a reproducible Monte Carlo sampler.
 
 A profile is evaluated in one vectorised call of the regularized incomplete
@@ -54,6 +54,8 @@ _FORM_TAIL_RTOL = 1e-6
 _TAIL_SUM_REL = 1e-18
 _BURN_IN = 8
 _FIRST_BLOCK = 64
+# the largest truncation build_profile may reach
+_HARD_CAP = 100000
 _TINY = np.finfo(float).tiny
 # sample_counts draws at most this many uniforms (8 bytes each) per block
 _SAMPLE_BLOCK_UNIFORMS = 2 ** 20
@@ -139,8 +141,7 @@ def _check_forms(probs: np.ndarray, b: float, x: float) -> None:
             f"{other[i]!r} vs {probs[i]!r} (rel {rel[i]:.2e})")
 
 
-def build_profile(nu: float, r: float, epsilon: float = 1e-12,
-                  hard_cap: int = 100000) -> BernoulliProfile:
+def build_profile(nu: float, r: float, epsilon: float = 1e-12) -> BernoulliProfile:
     """Build the truncated Bernoulli profile for parameters (nu, r).
 
     Truncates at the first index J >= 8 whose empirical ratio p_J / p_{J-1}
@@ -149,13 +150,13 @@ def build_profile(nu: float, r: float, epsilon: float = 1e-12,
     tail bound p_J q / (1 - q) smaller than epsilon.
 
     p_1..p_n come from one vectorised regularized incomplete beta call,
-    with n = 64 doubled (up to ``hard_cap``) until the rule above stops.
-    The kept p_1..p_J are then checked against the negative-binomial tail
-    sums of :func:`_tail_sum_form`, an O(J) second form; they must agree to
-    1e-10 relative (1e-6 below 1e-30).  This reaches J ~ 3e4 at r = 0.999
+    with n = 64 doubled (up to ``_HARD_CAP`` = 100000) until the rule
+    above stops.  The kept p_1..p_J are then checked against the
+    negative-binomial tail sums of :func:`_tail_sum_form`, an O(J) second
+    form; they must agree to 1e-10 relative (1e-6 below 1e-30).  This reaches J ~ 3e4 at r = 0.999
     for every nu up to 6 in milliseconds.
 
-    Raises :class:`TruncationFailure` if ``hard_cap`` indices do not
+    Raises :class:`TruncationFailure` if ``_HARD_CAP`` indices do not
     suffice or if the two forms disagree.
     """
     if not 0.5 < nu < math.inf:
@@ -168,7 +169,7 @@ def build_profile(nu: float, r: float, epsilon: float = 1e-12,
     # stopping at p_J below this makes the geometric tail p_J q/(1-q) < epsilon
     p_stop = epsilon * (1.0 - q) / q
     b = 2.0 * nu - 1.0
-    n = min(_FIRST_BLOCK, hard_cap)
+    n = min(_FIRST_BLOCK, _HARD_CAP)
     while True:
         probs = special.betainc(np.arange(1, n + 1), b, r * r)
         tail = probs[_BURN_IN - 1:]
@@ -176,11 +177,11 @@ def build_profile(nu: float, r: float, epsilon: float = 1e-12,
         if stops.size:
             probs = probs[:_BURN_IN + int(stops[0])]
             break
-        if n >= hard_cap:
+        if n >= _HARD_CAP:
             raise TruncationFailure(
-                f"tail bound {epsilon} not reached within {hard_cap} terms "
+                f"tail bound {epsilon} not reached within {_HARD_CAP} terms "
                 f"(nu={nu}, r={r})")
-        n = min(2 * n, hard_cap)
+        n = min(2 * n, _HARD_CAP)
     _check_forms(probs, b, r * r)
     return BernoulliProfile(nu=nu, r=r, probabilities=probs,
                             tail_bound=float(probs[-1]) * q / (1.0 - q))
@@ -214,49 +215,28 @@ def distribution(profile: BernoulliProfile) -> CountDistribution:
                              variance=float((p * (1.0 - p)).sum()))
 
 
-def _partitions(k: int):
-    """Integer partitions of k as non-increasing tuples."""
-    def gen(rest, largest):
-        if rest == 0:
-            yield ()
-            return
-        for part in range(min(rest, largest), 0, -1):
-            for tail in gen(rest - part, part):
-                yield (part,) + tail
-    return gen(k, k)
-
-
 def binomial_moment(profile: BernoulliProfile, k: int) -> float:
     """k-th binomial moment E C(N_r, k) of the count.
 
-    Cycle-type reduction of the permutation sum: with power sums
-    S_l = sum_j p_j^l,
+    For a sum of independent Bernoulli variables E C(N_r, k) is the
+    elementary symmetric polynomial e_k of the p_j, formed from the power
+    sums S_i = sum_j p_j^i by Newton's identities,
 
-        E C(N_r, k) = sum over partitions (l_1, ..., l_p) of k of
-                      prod_i (-1)^{l_i + 1} S_{l_i} / z,
+        l e_l = sum_{i=1}^{l} (-1)^{i-1} e_{l-i} S_i,    e_0 = 1.
 
-    where z = prod_c c^{m_c} m_c! counts the permutations of each cycle
-    type.  Capped at k <= 8 (the partition count stays tiny; the cap guards
-    against float cancellation across alternating terms, not cost).
+    Capped at k <= 8 (the cap guards against float cancellation across
+    alternating terms, not cost).
     """
     if k < 1 or k != int(k) or k > 8:
         raise DomainError(f"k must be an integer in [1, 8], got {k}")
     k = int(k)
     p = profile.probabilities
-    power_sums = {l: float((p ** l).sum()) for l in range(1, k + 1)}
-    total = 0.0
-    for lam in _partitions(k):
-        mult: dict[int, int] = {}
-        for part in lam:
-            mult[part] = mult.get(part, 0) + 1
-        z = 1.0
-        for part, count in mult.items():
-            z *= part ** count * math.factorial(count)
-        term = 1.0
-        for part in lam:
-            term *= -power_sums[part] if part % 2 == 0 else power_sums[part]
-        total += term / z
-    return total
+    power_sums = [float((p ** i).sum()) for i in range(1, k + 1)]
+    e = [1.0]
+    for l in range(1, k + 1):
+        e.append(sum((-1) ** (i - 1) * e[l - i] * power_sums[i - 1]
+                     for i in range(1, l + 1)) / l)
+    return e[k]
 
 
 def variance_series(nu: float, r: float, epsilon: float = 1e-12) -> float:

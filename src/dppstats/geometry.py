@@ -29,7 +29,6 @@ from .exceptions import DomainError, QuadratureFailure
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate_rows
 
 __all__ = [
-    "Disc",
     "ImageDisc",
     "LensIntegralResult",
     "mobius",
@@ -47,45 +46,13 @@ ACOS_CLAMP_WINDOW = 1e-12
 
 
 @dataclass(frozen=True)
-class Disc:
-    """A disc given by centre and radius.
-
-    With ``euclidean=False`` the disc must fit strictly inside the unit
-    disc, as required when it describes a region of the hyperbolic plane.
-    """
-
-    center: complex
-    radius: float
-    euclidean: bool = True
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise DomainError(f"radius must be positive, got {self.radius}")
-        if not self.euclidean and abs(self.center) + self.radius >= 1.0:
-            raise DomainError(
-                "a hyperbolic-context disc must lie strictly inside the unit disc")
-
-
-@dataclass(frozen=True)
 class ImageDisc:
-    """Moebius image of the centred disc D_r, with derived quantities.
+    """Image D(C, R) of the centred disc D_r under the involution at |z|.
 
-    ``center_modulus`` and ``radius`` are the Euclidean parameters of the
-    image disc D(C, R).  The remaining fields are the algebraic combinations
-    used by the transformed lens integral:
-
-    * ``inner_edge`` / ``outer_edge``: moduli of the boundary points nearest
-      to / farthest from the origin, ``|C| -+ R`` in absolute value,
-    * ``inner_edge_sq`` / ``outer_edge_sq``: their squares,
-    * ``sq_span``: ``outer_edge_sq - inner_edge_sq`` = 4|C|R, exact,
-    * ``gap``: ``1 - outer_edge_sq`` in the cancellation-free form
-      (1-|z|^2)(1-r^2)/(1+|z|r)^2,
-    * ``radius_sq_excess``: R^2 - |C|^2 = (r^2-|z|^2)/(1-|z|^2 r^2),
-    * ``sq_sum``: |C|^2 + R^2,
-    * ``cut_fraction``: (outer_edge_sq - r^2)/sq_span, the fraction of the
-      squared-modulus span lying outside the centred disc (inf when z = 0),
-    * ``span_over_outer_sq``: sq_span/outer_edge_sq,
-    * ``span_over_gap``: sq_span/gap.
+    ``center_modulus`` and ``radius`` are the Euclidean parameters |C| and R
+    of the image disc; ``inner_edge`` / ``outer_edge`` are the moduli of its
+    boundary points nearest to / farthest from the origin, ``|C| -+ R`` in
+    absolute value.
     """
 
     z_modulus: float
@@ -94,15 +61,6 @@ class ImageDisc:
     radius: float
     inner_edge: float
     outer_edge: float
-    inner_edge_sq: float
-    outer_edge_sq: float
-    sq_span: float
-    gap: float
-    radius_sq_excess: float
-    sq_sum: float
-    cut_fraction: float
-    span_over_outer_sq: float
-    span_over_gap: float
 
 
 @dataclass(frozen=True)
@@ -163,29 +121,8 @@ def image_disc(z_modulus: float, r: float) -> ImageDisc:
     rad = (1.0 - z * z) * r / denom
     inner = abs(z - r) / (1.0 - z * r)     # == |c - rad|, cancellation-free
     outer = (z + r) / (1.0 + z * r)        # == c + rad
-    inner_sq = inner * inner
-    outer_sq = outer * outer
-    sq_span = 4.0 * c * rad
-    gap = (1.0 - z * z) * (1.0 - r * r) / (1.0 + z * r) ** 2
-    if sq_span > 0.0:
-        # == (outer_sq - r^2)/sq_span without the subtractive cancellation
-        cut = (2.0 * r + z * (1.0 + r * r)) * (1.0 - z * r) ** 2 / (4.0 * r * (1.0 - z * z))
-        span_over_outer = sq_span / outer_sq
-        span_over_gap = sq_span / gap
-    else:
-        cut = math.inf
-        span_over_outer = 0.0
-        span_over_gap = 0.0
-    # R^2 - |C|^2 == (R - |C|)(R + |C|) with R - |C| = (r - z)/(1 - z r)
-    excess = (r * r - z * z) / denom
-    return ImageDisc(
-        z_modulus=z, r=r, center_modulus=c, radius=rad,
-        inner_edge=inner, outer_edge=outer,
-        inner_edge_sq=inner_sq, outer_edge_sq=outer_sq,
-        sq_span=sq_span, gap=gap,
-        radius_sq_excess=excess, sq_sum=c * c + rad * rad,
-        cut_fraction=cut, span_over_outer_sq=span_over_outer,
-        span_over_gap=span_over_gap)
+    return ImageDisc(z_modulus=z, r=r, center_modulus=c, radius=rad,
+                     inner_edge=inner, outer_edge=outer)
 
 
 def euclidean_lens_complement_area(r: float, z_modulus):
@@ -400,19 +337,20 @@ def hyperbolic_lens_integral_transformed(r: float, z_modulus: float,
     """The lens integral evaluated through its integration-by-parts form.
 
     Integration by parts turns the angular integral into a rational
-    hypergeometric-type integral over the squared modulus plus an explicit
-    boundary term at t = r, active exactly when |z| < 2r/(1+r^2):
+    integral over the squared modulus s plus an explicit boundary term at
+    t = r, active exactly when |z| < 2r/(1+r^2):
 
-        I = (1/4) * int_0^{min(1, cut)} [ B/F * (1 - V t)^{-1}
-              + (1+B)/(1-F) * (1 + U t)^{-1} ] dt / sqrt(t (1-t))
+        I = (1/2) * int_0^{u_max} [ B/s + (1+B)/(1-s) ] du
             - arccos(|z| (1+r^2) / (2r)) / (2 (1-r^2)),
 
-    with B = radius_sq_excess, F = outer_edge_sq, 1-F = gap,
-    U = span_over_gap, V = span_over_outer_sq and cut = cut_fraction from
-    :func:`image_disc`.  The substitution t = sin^2(u) removes both
-    square-root endpoints.  Agrees with :func:`hyperbolic_lens_integral`;
-    the two evaluations share no quadrature structure, which makes the pair
-    a genuine cross-check.
+    where (C, R) = image_disc(|z|, r), B = R^2 - |C|^2, and
+    s = F - 4|C|R sin^2(u) falls from the squared outer edge
+    F = tanh^2(u_z + u_r) (u_z = atanh|z|, u_r = atanh r) until it meets r^2
+    or the squared inner edge: sin^2(u_max) = min(1, (F - r^2)/(4|C|R)).
+    The sin^2 substitution removes both square-root endpoints of the
+    integral in s.  Agrees with :func:`hyperbolic_lens_integral`; the two
+    evaluations share no quadrature structure, which makes the pair a
+    genuine cross-check.
     """
     _validate_lens_args(r, z_modulus)
     return _one_row(_lens_transformed, r, z_modulus, quad)

@@ -53,6 +53,11 @@ _NODE_BLOCK = 1 << 20
 # its default maxlevel of 10, which integrate_rows passes explicitly
 _TANH_SINH_MAXLEVEL = 10
 _TANH_SINH_LEVEL_NODES = 1 << 13
+# the Gauss-Legendre schedule: 32 nodes per piece, doubled eight times at most
+_GL_FIRST_NODES = 32
+_GL_MAX_NODES = _GL_FIRST_NODES * 2 ** 8
+# subinterval limit of each QUADPACK call
+_QUADPACK_LIMIT = 200
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -65,30 +70,22 @@ def _leggauss(n: int):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Scheme, tolerances and node budgets for the integrals in this package.
+    """Scheme and tolerances for the integrals in this package.
 
     ``rel_tol``/``abs_tol`` combine in the usual way: an estimate is accepted
     once its error estimate drops below ``max(abs_tol, rel_tol * |value|)``.
-    ``radial_nodes`` is the starting order of the Gauss-Legendre scheme (the
-    order doubles until convergence), ``max_subdivisions`` bounds adaptive
-    refinement.  Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads.
     """
 
     scheme: str = "gauss_legendre_fixed"
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-    radial_nodes: int = 32
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be finite and positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if self.radial_nodes < 2:
-            raise ValueError("radial_nodes must be >= 2")
 
     def tolerance(self, scale: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(scale))
@@ -103,10 +100,6 @@ def _within_tol(err, value, abs_tol, rel_tol):
     Written with ``|`` so that it serves scalars and arrays alike.
     """
     return (err <= abs_tol) | (err <= rel_tol * abs(value))
-
-
-def _gauss_legendre_max_nodes(config: QuadratureConfig) -> int:
-    return config.radial_nodes * 2 ** min(config.max_subdivisions, 8)
 
 
 def _kronrod_converged(value, err, config: QuadratureConfig) -> bool:
@@ -182,7 +175,7 @@ def integrate_rows(f, a, b, config: QuadratureConfig):
     active = np.flatnonzero(a != b)
     if config.scheme == "gauss_legendre_fixed":
         return _gauss_legendre_rows(f, a, b, active, config.abs_tol, config.rel_tol,
-                                    config.radial_nodes, _gauss_legendre_max_nodes(config))
+                                    _GL_FIRST_NODES, _GL_MAX_NODES)
     value = np.zeros(a.size)
     err = np.zeros(a.size)
     converged = np.ones(a.size, dtype=bool)
@@ -191,7 +184,7 @@ def integrate_rows(f, a, b, config: QuadratureConfig):
             v, e = integrate.quad(
                 lambda x: float(f(np.array([x]), k)[0]), a[k], b[k],
                 epsabs=config.abs_tol, epsrel=config.rel_tol,
-                limit=max(config.max_subdivisions, 50))
+                limit=_QUADPACK_LIMIT)
             value[k], err[k], converged[k] = v, e, _kronrod_converged(v, e, config)
         return value, err, converged
     # tanh_sinh: the row index travels as an argument, which scipy subsets

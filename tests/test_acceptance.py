@@ -125,7 +125,7 @@ def test_criterion_07_cycle_formula():
             ref = float((special.comb(ns, k) * law.pmf).sum())
             worst = max(worst, abs(binomial_moment(profile, k) - ref)
                         / max(1.0, abs(ref)))
-    report(7, "binomial-moment cycle formula", worst < 1e-9,
+    report(7, "binomial moments by Newton's identities", worst < 1e-9,
            f"max scaled err {worst:.2e}")
 
 

@@ -4,7 +4,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from dppstats import counting
+from dppstats import counting, quadrature
 from dppstats.cli import cli
 
 
@@ -65,7 +65,9 @@ class TestVarianceCommand:
                                      "--r", "0.5", "--route", "shirai"])
         assert result.exit_code == 2
 
-    def test_unreachable_tolerance_exits_3(self, runner):
+    def test_unreachable_tolerance_exits_3(self, runner, monkeypatch):
+        # a short schedule fails the same way without building the 8192-node rule
+        monkeypatch.setattr(quadrature, "_GL_MAX_NODES", 256)
         result = runner.invoke(cli, ["asymptotics", "--nu", "1", "--m", "0",
                                      "--r", "0.9", "--abs-tol", "1e-300",
                                      "--rel-tol", "1e-30"])
@@ -263,6 +265,18 @@ class TestOutOfDomainArguments:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stdout == ""
+
+
+@pytest.mark.parametrize("base", [
+    ["variance", "--nu", "1", "--m", "0", "--r", "0.5"],
+    ["asymptotics", "--nu", "1", "--m", "0", "--r", "0.5"],
+    ["contraction", "--m", "0", "--r", "1", "--scale", "4"],
+])
+def test_scheme_option_is_rejected(runner, base):
+    # the CLI always integrates with the certified Gauss-Legendre scheme
+    result = runner.invoke(cli, base + ["--scheme", "tanh_sinh"])
+    assert result.exit_code == 2
+    assert "--scheme" not in runner.invoke(cli, [base[0], "--help"]).output
 
 
 FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "1"]

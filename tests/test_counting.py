@@ -8,10 +8,10 @@ from scipy import special
 
 from dppstats import (BernoulliProfile, DomainError, HyperbolicLevel,
                       TruncationFailure, binomial_moment, build_profile,
-                      distribution, generating_function, incomplete_beta,
-                      incomplete_beta_ratio, log_pochhammer, sample_counts,
-                      variance_hyperbolic, variance_series)
+                      distribution, generating_function, log_pochhammer,
+                      sample_counts, variance_hyperbolic, variance_series)
 from dppstats import counting
+from oracles import incomplete_beta, incomplete_beta_ratio
 
 
 def pmf_binomial_moment(law, k):
@@ -111,9 +111,10 @@ class TestBuildProfile:
         beyond = special.betainc(np.arange(J + 1, J + 2001), 2.0 * nu - 1.0, r * r)
         assert beyond.sum() <= profile.tail_bound
 
-    def test_truncation_failure(self):
+    def test_truncation_failure(self, monkeypatch):
+        monkeypatch.setattr(counting, "_HARD_CAP", 5)
         with pytest.raises(TruncationFailure):
-            build_profile(1.0, 0.9, epsilon=1e-12, hard_cap=5)
+            build_profile(1.0, 0.9, epsilon=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):

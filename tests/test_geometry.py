@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dppstats import (DEFAULT_QUAD, Disc, DomainError, QuadratureConfig,
+from dppstats import (DEFAULT_QUAD, DomainError, QuadratureConfig,
                       QuadratureFailure, euclidean_lens_complement_area, geometry, hyperbolic_distance,
                       hyperbolic_lens_integral,
                       hyperbolic_lens_integral_transformed, image_disc, mobius)
@@ -178,29 +178,6 @@ class TestImageDisc:
                 assert disc.inner_edge == pytest.approx(abs(z - r) / (1 - z * r), rel=1e-13)
                 assert disc.outer_edge == pytest.approx((z + r) / (1 + z * r), rel=1e-14)
 
-    def test_derived_quantities(self):
-        z, r = 0.45, 0.65
-        disc = image_disc(z, r)
-        c, rad = disc.center_modulus, disc.radius
-        assert disc.sq_span == pytest.approx(disc.outer_edge_sq - disc.inner_edge_sq, rel=1e-12)
-        assert disc.sq_span == pytest.approx(4 * c * rad, rel=1e-14)
-        assert disc.gap == pytest.approx(1 - disc.outer_edge_sq, rel=1e-12)
-        assert disc.radius_sq_excess == pytest.approx(rad * rad - c * c, rel=1e-12)
-        assert disc.sq_sum == pytest.approx(c * c + rad * rad, rel=1e-14)
-        assert disc.cut_fraction == pytest.approx(
-            (disc.outer_edge_sq - r * r) / disc.sq_span, rel=1e-12)
-        assert disc.span_over_outer_sq == pytest.approx(disc.sq_span / disc.outer_edge_sq, rel=1e-14)
-        assert disc.span_over_gap == pytest.approx(disc.sq_span / disc.gap, rel=1e-14)
-
-    def test_quadratic_factorization(self):
-        # -t^2 + 2 sq_sum t - radius_sq_excess^2 == (t - inner_sq)(outer_sq - t)
-        z, r = 0.35, 0.55
-        disc = image_disc(z, r)
-        for t in np.linspace(disc.inner_edge_sq, disc.outer_edge_sq, 9):
-            lhs = -t * t + 2 * disc.sq_sum * t - disc.radius_sq_excess ** 2
-            rhs = (t - disc.inner_edge_sq) * (disc.outer_edge_sq - t)
-            assert lhs == pytest.approx(rhs, abs=1e-14)
-
     def test_boundary_image_property(self):
         # the involution at w maps the circle |zeta| = r onto |x - C| = R
         for w_mod, r in [(0.3, 0.5), (0.8, 0.2), (0.6, 0.9)]:
@@ -231,20 +208,6 @@ class TestImageDisc:
             image_disc(1.0, 0.5)
         with pytest.raises(DomainError):
             image_disc(0.5, 1.0)
-
-
-class TestDiscType:
-    def test_euclidean_disc_may_exceed_unit(self):
-        Disc(2.0 + 0j, 5.0)
-
-    def test_hyperbolic_disc_must_fit(self):
-        Disc(0.2 + 0j, 0.5, euclidean=False)
-        with pytest.raises(DomainError):
-            Disc(0.6 + 0j, 0.5, euclidean=False)
-
-    def test_radius_positive(self):
-        with pytest.raises(DomainError):
-            Disc(0.0 + 0j, 0.0)
 
 
 class TestEuclideanLensArea:
@@ -397,9 +360,9 @@ class TestBatchedLens:
             assert e <= max(1e-12, 1e-3 * abs(v))
         assert values[-1] == pytest.approx(0.5 * math.pi * r * r / (1 - r * r), rel=1e-9)
 
-    def test_one_row_keeps_the_strict_contract(self):
-        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=1,
-                               radial_nodes=4)
+    def test_one_row_keeps_the_strict_contract(self, small_budget):
+        small_budget(4, 8)
+        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
         for public in (hyperbolic_lens_integral, hyperbolic_lens_integral_transformed):
             with pytest.raises(QuadratureFailure):
                 public(0.6, 0.5, cfg)
