@@ -3,8 +3,8 @@
 At level m = 0 the count N_r in a centred disc is distributed as an
 independent Bernoulli sum with explicit success probabilities, so its
 distribution is Poisson-binomial and everything about it is computable
-exactly: pmf, generating function, binomial moments by Newton's
-identities, and the variance series.  A seeded Monte Carlo run cross-checks
+exactly: pmf, generating function, binomial moments by a prefix-sum
+recurrence, and the variance series.  A seeded Monte Carlo run cross-checks
 the pmf empirically and is bit-reproducible.
 
 Run:  python demos/count_distribution.py
@@ -40,12 +40,12 @@ for s in (-0.5, 0.25, 0.9):
     print(f"  s={s:>5}: product {lhs:.12f}   pmf sum {rhs:.12f}")
 
 print()
-print("binomial moments E C(N, k) by Newton's identities vs the pmf")
+print("binomial moments E C(N, k) by the prefix-sum recurrence vs the pmf")
 from scipy.special import comb
 for k in range(1, 6):
-    newton = binomial_moment(profile, k)
+    moment = binomial_moment(profile, k)
     ref = float((comb(ns, k) * law.pmf).sum())
-    print(f"  k={k}: newton {newton:.12e}   pmf {ref:.12e}")
+    print(f"  k={k}: recurrence {moment:.12e}   pmf {ref:.12e}")
 
 print()
 print("the nu = 1 case collapses to p_j = r^{2j} and V = r^2/(1 - r^4)")

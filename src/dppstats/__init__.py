@@ -1,7 +1,7 @@
 """Count statistics of determinantal point processes on the complex plane
 and the Poincare disc: correlation kernels, disc geometry, count variances
-with independent cross-checking routes, large-radius asymptotics, and the
-exact Poisson-binomial count law of the lowest disc level.
+(cross-checking routes on the disc, one integral on the plane), large-radius
+asymptotics, and the exact Poisson-binomial count law of the lowest disc level.
 """
 
 from .counting import (BernoulliProfile, CountDistribution, binomial_moment,

@@ -9,7 +9,7 @@ probabilities are ratios of incomplete to complete beta integrals,
 
 This module builds truncated probability profiles with certified geometric
 tail bounds, evaluates the probability generating product, the exact
-Poisson-binomial pmf, binomial moments by Newton's identities, the
+Poisson-binomial pmf, binomial moments by a prefix-sum recurrence, the
 variance series, and a reproducible Monte Carlo sampler.
 
 A profile is evaluated in one vectorised call of the regularized incomplete
@@ -219,24 +219,18 @@ def binomial_moment(profile: BernoulliProfile, k: int) -> float:
     """k-th binomial moment E C(N_r, k) of the count.
 
     For a sum of independent Bernoulli variables E C(N_r, k) is the
-    elementary symmetric polynomial e_k of the p_j, formed from the power
-    sums S_i = sum_j p_j^i by Newton's identities,
-
-        l e_l = sum_{i=1}^{l} (-1)^{i-1} e_{l-i} S_i,    e_0 = 1.
-
-    Capped at k <= 8 (the cap guards against float cancellation across
-    alternating terms, not cost).
+    elementary symmetric polynomial e_k of the p_j.  Over the prefixes of
+    the profile, e_l(p_1..p_j) = e_l(p_1..p_{j-1}) + p_j e_{l-1}(p_1..p_{j-1}):
+    a cumulative sum of positive terms per order, O(kJ), that never cancels.
     """
-    if k < 1 or k != int(k) or k > 8:
-        raise DomainError(f"k must be an integer in [1, 8], got {k}")
-    k = int(k)
+    if k < 1 or k != int(k):
+        raise DomainError(f"k must be a positive integer, got {k}")
     p = profile.probabilities
-    power_sums = [float((p ** i).sum()) for i in range(1, k + 1)]
-    e = [1.0]
-    for l in range(1, k + 1):
-        e.append(sum((-1) ** (i - 1) * e[l - i] * power_sums[i - 1]
-                     for i in range(1, l + 1)) / l)
-    return e[k]
+    e = np.ones(p.size + 1)                    # e_0 over the prefixes
+    for _ in range(min(int(k), p.size + 1)):   # past order J every e_k is 0
+        np.cumsum(p * e[:-1], out=e[1:])
+        e[0] = 0.0
+    return float(e[-1])
 
 
 def variance_series(nu: float, r: float, epsilon: float = 1e-12) -> float:

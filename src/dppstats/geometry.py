@@ -143,13 +143,10 @@ def euclidean_lens_complement_area(r: float, z_modulus):
     out = np.full_like(z, math.pi * r * r)
     near = z < 2.0 * r
     zn = z[near]
-    # both terms are written in the exact difference 2r - z, which keeps the
-    # area continuous through z = 2r at roundoff level:
-    # arccos(z/2r) == 2 arcsin(sqrt((2r - z)/(4r)))
-    diff = 2.0 * r - zn
-    angle = 2.0 * np.arcsin(np.sqrt(diff / (4.0 * r)))
-    out[near] = (math.pi * r * r - 2.0 * r * r * angle
-                 + 0.5 * zn * np.sqrt(diff * (2.0 * r + zn)))
+    # pi r^2 - 2 r^2 arccos(z/2r) == 2 r^2 arcsin(z/2r), so no term cancels;
+    # the chord from 2r - z and arctan2 stay accurate up to z = 2r
+    chord = np.sqrt((2.0 * r - zn) * (2.0 * r + zn))
+    out[near] = 2.0 * r * r * np.arctan2(zn, chord) + 0.5 * zn * chord
     return float(out[0]) if scalar else out
 
 

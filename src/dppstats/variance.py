@@ -1,12 +1,12 @@
 """Count variances in centred discs, their large-radius asymptotics and the
 flat-geometry limit.
 
-Planar processes admit two independent evaluations of Var(N_r): a weighted
-Laguerre integral with a closed-form angular factor, and a radial integral
-against the Euclidean lens area.  Disc processes likewise admit the direct
-angular route and the integration-by-parts route; the module also computes
-the constant governing Var(N_r) ~ C / (1 - r^2) as r -> 1, and the
-curvature-rescaling table that connects the disc family to the planar one.
+The planar routes are one computation, a radial integral against the lens
+area A(rho) = r g(rho^2) (g is Shirai's angular factor) with an exact
+Gauss-Laguerre rest past rho = 2r, so their agreement checks nothing.  The
+disc routes are the direct angular and the integration-by-parts lens
+integrals.  Also here: the constant C of Var(N_r) ~ C / (1 - r^2) as r -> 1,
+and the curvature-rescaling table that links the disc family to the planar one.
 
 Conventions.  The radial reduction of the disc-process variance is
 
@@ -29,18 +29,20 @@ weighted inner error, which enters the error estimate as
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special
 
-from .exceptions import DomainError
+from .exceptions import DomainError, TruncationFailure
 from .geometry import (_lens_direct, _lens_transformed,
                        euclidean_lens_complement_area)
 from .kernels import EuclideanLevel, HyperbolicLevel, _radial_profile
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate_interval
-from .specfun import laguerre, log_pochhammer
+from .specfun import log_pochhammer
 
 __all__ = [
     "VarianceResult",
@@ -79,63 +81,72 @@ class ContractionRow:
     ratio: float
 
 
+# planar tail cuts c = 4n + 40, 4n + 60, ... lie past the oscillatory region
+# of L_n (t <~ 4n + 2) and stop before e^{-c/2} leaves the normal doubles
+_MAX_CUT = 1400.0
+
+
+def _laguerre_tails(n: int, rule, cuts):
+    """int_c^inf L_n(t)^2 e^{-t} dt at each cut c by the (n + 1)-point Gauss-Laguerre
+    rule (nodes, root weights): exact for degree 2n, every term positive."""
+    cuts = np.asarray(cuts, dtype=float)[..., None]
+    terms = rule[1] * np.exp(-0.5 * cuts) * special.eval_laguerre(n, cuts + rule[0])
+    return np.sum(terms * terms, axis=-1)
+
+
+@functools.cache
+def _laguerre_rule(n: int):
+    """The rule, the cuts and the tails at them, cached per level.  The rule must keep its
+    orthonormality sum w L_n(s)^2 = 1, lost near n = 190; then |L_n| < 1e240 wherever used."""
+    with np.errstate(all="ignore"):     # a rule that overflows fails the check below
+        nodes, weights = special.roots_laguerre(n + 1)
+        rule = nodes, np.sqrt(weights)
+        norm = float(np.sum((rule[1] * special.eval_laguerre(n, nodes)) ** 2))
+    if not abs(norm - 1.0) <= 1e-12:
+        raise TruncationFailure(f"the {n + 1}-point Gauss-Laguerre rule has norm {norm!r}")
+    cuts = np.arange(4.0 * n + 40.0, _MAX_CUT, 20.0)
+    return rule, cuts, _laguerre_tails(n, rule, cuts)
+
+
+def _variance_planar(level: EuclideanLevel, r: float, quad: QuadratureConfig,
+                     route: str) -> VarianceResult:
+    """V = (2/pi) int_0^inf rho e^{-rho^2} L_n(rho^2)^2 A(rho) drho, A(rho) = |D_r^c cap
+    D_r(rho)|, pi r^2 past 2r; c is the first cut with rest r^2 :func:`_laguerre_tails`
+    <= abs_tol/4.  If 4 r^2 <= c the exact rest at 4 r^2 joins the value.  Else the
+    quadrature stops at sqrt(c), at 3/4 rel_tol, and the rest bound (A <= pi r^2)
+    joins the error: max(2/pi abs_tol, 3/4 rel_tol V) + abs_tol/4 <= tolerance(V)."""
+    if not (r > 0.0 and math.isfinite(4.0 * r * r)):
+        raise DomainError(f"r must be positive with 4 r^2 finite, got {r}")
+    n, r2 = level.n, r * r
+    rule, cuts, cut_tails = _laguerre_rule(n)
+    bounded = np.flatnonzero(r2 * cut_tails <= 0.25 * quad.abs_tol)     # tails <= 1
+    if not bounded.size:
+        raise TruncationFailure(f"no cut below {_MAX_CUT} bounds the rest at n={n}, r={r}")
+    c = float(cuts[bounded[0]])
+    exact = 4.0 * r2 <= c
+    rest = r2 * float(_laguerre_tails(n, rule, 4.0 * r2) if exact else cut_tails[bounded[0]])
+
+    def f(rho):
+        scaled = np.exp(-0.5 * rho * rho) * special.eval_laguerre(n, rho * rho)  # e^{-t/2} L_n(t)
+        return rho * scaled * scaled * euclidean_lens_complement_area(r, rho)
+
+    value, err = integrate_interval(f, 0.0, min(2.0 * r, math.sqrt(c)),
+                                    quad if exact else replace(quad, rel_tol=0.75 * quad.rel_tol))
+    value, err = 2.0 / math.pi * value, 2.0 / math.pi * err
+    return VarianceResult(value + exact * rest, err + (not exact) * rest, route)
+
+
 def variance_euclidean_shirai(level: EuclideanLevel, r: float,
                               quad: QuadratureConfig = DEFAULT_QUAD) -> VarianceResult:
-    """Planar count variance via the weighted Laguerre integral.
-
-    (r/pi) * int_0^inf L_n(t)^2 e^{-t} g(t) dt with the inner angular
-    factor in closed form, g(t) = 2 r theta + r sin(2 theta) and
-    theta = arcsin(min(1, sqrt(t)/(2r))).  The outer integral is truncated
-    at T with an explicit exponential tail bound below abs_tol.
-    """
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"r must be finite and positive, got {r}")
-    n = level.n
-
-    def weighted(t):
-        s = np.minimum(1.0, np.sqrt(t) / (2.0 * r))
-        theta = np.arcsin(s)
-        g = 2.0 * r * theta + r * np.sin(2.0 * theta)
-        return laguerre(n, t) ** 2 * np.exp(-t) * g
-
-    # |L_n(t)| <= (3t)^n for t >= 1 gives tail <= 2 r^2 9^n T^{2n} e^{-T}
-    T = 80.0 + 10.0 * n
-    while 2.0 * r * r * 9.0 ** n * T ** (2 * n) * math.exp(-T) > 0.5 * quad.abs_tol:
-        T += 20.0
-    tail = 2.0 * r * r * 9.0 ** n * T ** (2 * n) * math.exp(-T)
-    # t = x^2 removes the sqrt(t) behaviour of the angular factor at 0
-    split = min(4.0 * r * r, T)
-    value, err = integrate_interval(
-        lambda x: 2.0 * x * weighted(x * x), 0.0, math.sqrt(split), quad)
-    if split < T:
-        v2, e2 = integrate_interval(weighted, split, T, quad)
-        value += v2
-        err += e2
-    return VarianceResult(max(r / math.pi * value, 0.0),
-                          r / math.pi * err + tail, "shirai")
+    """Planar count variance by Shirai's (r/pi) int L_n(t)^2 e^{-t} g(t) dt: his
+    factor is the lens area, r g(t) = A(sqrt(t)), so this is the geometric route."""
+    return _variance_planar(level, r, quad, "shirai")
 
 
 def variance_euclidean_geometric(level: EuclideanLevel, r: float,
                                  quad: QuadratureConfig = DEFAULT_QUAD) -> VarianceResult:
-    """Planar count variance via translation invariance and the lens area.
-
-    (2/pi) * int_0^inf rho e^{-rho^2} L_n(rho^2)^2 Area(D_r^c cap D_r(rho)) drho,
-    truncated at rho = max(2r, 1) + 8 where the Gaussian weight makes the
-    tail negligible (bound below abs_tol by construction).
-    """
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"r must be finite and positive, got {r}")
-    n = level.n
-
-    def f(rho):
-        return (rho * np.exp(-rho * rho) * laguerre(n, rho * rho) ** 2
-                * euclidean_lens_complement_area(r, rho))
-
-    T = max(2.0 * r, 1.0) + 8.0
-    tail = 2.0 * r * r * 9.0 ** n * T ** (4 * n) * math.exp(-T * T)
-    value, err = integrate_interval(f, 0.0, T, quad, breakpoints=(2.0 * r,))
-    return VarianceResult(max(2.0 / math.pi * value, 0.0),
-                          2.0 / math.pi * err + tail, "geometric")
+    """Planar count variance with the lens area of :mod:`dppstats.geometry`."""
+    return _variance_planar(level, r, quad, "geometric")
 
 
 def _jacobi_endpoint_max(level: HyperbolicLevel) -> float:
@@ -265,9 +276,7 @@ def contraction_check(m: int, r: float, R_values: Sequence[float],
     """
     if m < 0 or m != int(m):
         raise DomainError(f"m must be a non-negative integer, got {m}")
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"r must be finite and positive, got {r}")
-    target = variance_euclidean_geometric(EuclideanLevel(int(m)), r, quad).value
+    target = variance_euclidean_geometric(EuclideanLevel(int(m)), r, quad).value  # checks r
     rows = []
     for R in R_values:
         if not R > 1.0:

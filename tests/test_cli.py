@@ -65,6 +65,14 @@ class TestVarianceCommand:
                                      "--r", "0.5", "--route", "shirai"])
         assert result.exit_code == 2
 
+    def test_unresolvable_planar_level_exits_3(self, runner):
+        # past n ~ 190 the Gauss-Laguerre weights underflow; this used to
+        # end in an OverflowError traceback from 9.0 ** n
+        result = runner.invoke(cli, ["variance", "--euclidean", "--n", "400", "--r", "1"])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+
     def test_unreachable_tolerance_exits_3(self, runner, monkeypatch):
         # a short schedule fails the same way without building the 8192-node rule
         monkeypatch.setattr(quadrature, "_GL_MAX_NODES", 256)
@@ -259,6 +267,7 @@ class TestOutOfDomainArguments:
         ["distribution", "--nu", "inf", "--r", "0.5"],
         ["distribution", "--nu", "1", "--r", "0.5", "--samples", "-3"],
         ["distribution", "--nu", "1", "--r", "0.5", "--samples", "5", "--seed", "-1"],
+        ["variance", "--euclidean", "--n", "1", "--r", "1e300"],
     ])
     def test_exits_2(self, runner, args):
         result = runner.invoke(cli, args)
@@ -281,13 +290,14 @@ def test_scheme_option_is_rejected(runner, base):
 
 FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "1"]
 _QUAD_OPTIONS = ("--rel-tol", "--abs-tol")
-# (valid base arguments, options fuzzed over FUZZ_VALUES, integer options
-# fuzzed over their own values); every numeric option of every subcommand
+# (valid base arguments, options fuzzed over FUZZ_VALUES, options fuzzed
+# over values of their own); every numeric option of every subcommand
 FUZZ_GRID = [
     (["variance", "--nu", "1", "--m", "0", "--r", "0.5"],
      ("--nu", "--r") + _QUAD_OPTIONS, {"--m": ["-1", "1", "3"]}),
     (["variance", "--euclidean", "--n", "1", "--r", "0.5"],
-     ("--r",) + _QUAD_OPTIONS, {"--n": ["-1", "0", "40"]}),
+     ("--r",) + _QUAD_OPTIONS,
+     {"--n": ["-1", "0", "40", "50", "363", "400"], "--r": ["1e300", "1e-200"]}),
     (["asymptotics", "--nu", "1", "--m", "0", "--r", "0.5"],
      ("--nu", "--r") + _QUAD_OPTIONS, {"--m": ["-1", "1", "3"]}),
     (["distribution", "--nu", "1", "--r", "0.5", "--samples", "10"],
@@ -307,11 +317,11 @@ def _with_option(base, option, value):
 
 
 def _fuzz_cases():
-    for base, options, int_options in FUZZ_GRID:
+    for base, options, own_values in FUZZ_GRID:
         for option in options:
             for value in FUZZ_VALUES:
                 yield _with_option(base, option, value)
-        for option, values in int_options.items():
+        for option, values in own_values.items():
             for value in values:
                 yield _with_option(base, option, value)
 

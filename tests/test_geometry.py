@@ -234,6 +234,13 @@ class TestEuclideanLensArea:
         area = float((2 * np.maximum(0.0, half - np.minimum(half, inner))).sum() * (2 * r / n))
         assert euclidean_lens_complement_area(r, z) == pytest.approx(area, abs=1e-3)
 
+    def test_no_cancellation_far_inside_separation(self):
+        # pi r^2 - 2 r^2 arccos(z/2r) lost r eps/z relative; at r = 1e150 the
+        # planar lens route came out 2x off with a 1e-14 error bar
+        for r, z in [(1e3, 1e-3), (1e150, 1.0)]:
+            ref = 2 * r * r * math.asin(z / (2 * r)) + 0.5 * z * math.sqrt(4 * r * r - z * z)
+            assert euclidean_lens_complement_area(r, z) == pytest.approx(ref, rel=1e-14)
+
     def test_continuity_at_separation(self):
         for r in [0.4, 1.0, 2.5]:
             left = euclidean_lens_complement_area(r, 2 * r * (1 - 1e-13))

@@ -12,6 +12,9 @@ from dppstats import (DomainError, EuclideanLevel, HyperbolicLevel,
                       variance_euclidean_geometric,
                       variance_euclidean_shirai, variance_hyperbolic,
                       variance_hyperbolic_via_transformed)
+from oracles import ginibre_variance, planar_sector_variance
+
+PLANAR_ROUTES = (variance_euclidean_shirai, variance_euclidean_geometric)
 
 
 def peres_virag(r):
@@ -26,7 +29,8 @@ class TestEuclideanRoutes:
         a = variance_euclidean_shirai(level, r)
         b = variance_euclidean_geometric(level, r)
         assert a.route == "shirai" and b.route == "geometric"
-        assert a.value == pytest.approx(b.value, rel=1e-6)
+        # one computation under two labels, so the results are identical
+        assert (a.value, a.error_estimate) == (b.value, b.error_estimate)
 
     def test_small_disc_vanishes(self):
         level = EuclideanLevel(0)
@@ -53,12 +57,62 @@ class TestEuclideanRoutes:
         with pytest.raises(DomainError):
             variance_euclidean_geometric(EuclideanLevel(0), -1.0)
 
-    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    @pytest.mark.parametrize("r", [math.inf, math.nan, 1e300])
     def test_rejects_non_finite_radius(self, r):
-        # an infinite radius used to run for seconds and return nan
+        # an infinite radius used to run for seconds and return nan, and
+        # r = 1e300, whose square overflows, returned an error of nan
         for route in (variance_euclidean_shirai, variance_euclidean_geometric):
             with pytest.raises(DomainError):
                 route(EuclideanLevel(1), r)
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.floats(1e-3, 3e3))
+    def test_ginibre_closed_form_within_error_bars(self, r):
+        ref = ginibre_variance(r)
+        for route in PLANAR_ROUTES:
+            res = route(EuclideanLevel(0), r)
+            assert abs(res.value - ref) <= res.error_estimate + 1e-13 * ref
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("r", [0.5, 2.0, 6.0])
+    def test_sector_series_within_error_bars(self, n, r):
+        ref = planar_sector_variance(n, r)
+        for route in PLANAR_ROUTES:
+            res = route(EuclideanLevel(n), r)
+            assert abs(res.value - ref) <= res.error_estimate + 1e-13 * ref
+
+    @pytest.mark.parametrize("n, r", [(12, 1.0), (30, 2.0), (50, 0.5)])
+    def test_error_within_tolerance_at_high_level(self, n, r):
+        # the fixed cutoff of the lens route gave errors of 2.1e16 at
+        # (12, 1) and 3.1e96 at (30, 2); at (50, 0.5) its error was 1.2e203
+        # and the Laguerre route's nan
+        ref = planar_sector_variance(n, r)
+        for route in PLANAR_ROUTES:
+            res = route(EuclideanLevel(n), r)
+            assert res.error_estimate <= QuadratureConfig().tolerance(res.value)
+            assert abs(res.value - ref) <= res.error_estimate + 1e-13 * ref
+
+    @pytest.mark.parametrize("n", [0, 3, 8])
+    @pytest.mark.parametrize("r", [6.0, 30.0])
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_error_within_tolerance_when_rest_is_bounded(self, n, r, ratio):
+        # here 4 r^2 lies past the cut, so the rest bound joins the error
+        # after the quadrature; with rel_tol V near abs_tol both tolerances
+        # bind, and the sum must stay within the larger one
+        level = EuclideanLevel(n)
+        v = variance_euclidean_geometric(level, r).value
+        quad = QuadratureConfig(rel_tol=ratio * 1e-6 / v, abs_tol=1e-6)
+        for route in PLANAR_ROUTES:
+            res = route(level, r, quad)
+            assert res.error_estimate <= quad.tolerance(res.value)
+            assert abs(res.value - v) <= res.error_estimate + 1e-13 * v
+
+    def test_lens_route_at_large_radius(self):
+        # the fixed cutoff used to return 1.2e-14 against 5 641.9 here
+        res = variance_euclidean_geometric(EuclideanLevel(0), 1e4)
+        ref = ginibre_variance(1e4)
+        assert abs(res.value - ref) <= res.error_estimate + 1e-13 * ref
+        assert res.error_estimate <= QuadratureConfig().tolerance(res.value)
 
 
 class TestHyperbolicVariance:
