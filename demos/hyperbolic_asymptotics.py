@@ -1,8 +1,10 @@
 """Disc-process count variance and its blow-up near the boundary.
 
 For the determinantal processes living on the Poincare disc the variance of
-the count in a centred disc of radius r admits two independent quadrature
-routes (a direct angular lens integral and its integration-by-parts form).
+the count in a centred disc of radius r is a radial integral against the
+hyperbolic lens area, which Gauss-Bonnet gives in closed form.  At the
+lowest level m = 0 the count is also a sum of independent Bernoullis, and
+its variance series is an independent check.
 As r -> 1 the variance blows up like C / (1 - r^2); the constant C is an
 explicit radial integral, bounded above by 2(nu - m) - 1.  At the lowest
 level with nu = 1 everything is exactly solvable: V = r^2 / (1 - r^4) and
@@ -12,7 +14,7 @@ Run:  python demos/hyperbolic_asymptotics.py
 """
 
 from dppstats import (HyperbolicLevel, asymptotic_constant, variance_hyperbolic,
-                      variance_hyperbolic_via_transformed)
+                      variance_series)
 
 print("benchmark at (nu, m) = (1, 0): exact variance r^2/(1 - r^4)")
 print(f"{'r':>6} {'computed':>16} {'exact':>16} {'rel err':>10}")
@@ -22,12 +24,12 @@ for r in (0.2, 0.5, 0.8, 0.95):
     print(f"{r:>6.2f} {v:>16.10f} {exact:>16.10f} {abs(v - exact) / exact:>10.1e}")
 
 print()
-print("route agreement at a generic level (nu, m) = (3.2, 1)")
-level = HyperbolicLevel(3.2, 1)
-print(f"{'r':>6} {'direct route':>16} {'transformed':>16} {'rel diff':>10}")
+print("lens integral against the Bernoulli series at (nu, m) = (3.2, 0)")
+level = HyperbolicLevel(3.2, 0)
+print(f"{'r':>6} {'lens integral':>16} {'series':>16} {'rel diff':>10}")
 for r in (0.3, 0.6, 0.9):
     a = variance_hyperbolic(level, r).value
-    b = variance_hyperbolic_via_transformed(level, r).value
+    b = variance_series(3.2, r)
     print(f"{r:>6.2f} {a:>16.10f} {b:>16.10f} {abs(a - b) / a:>10.1e}")
 
 print()

@@ -1,6 +1,6 @@
 """Count statistics of determinantal point processes on the complex plane
 and the Poincare disc: correlation kernels, disc geometry, count variances
-(cross-checking routes on the disc, one integral on the plane), large-radius
+(one lens integral with an exact rest per geometry), large-radius
 asymptotics, and the exact Poisson-binomial count law of the lowest disc level.
 """
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import DomainError
-from .specfun import jacobi_zero_beta, laguerre
+from .specfun import _jacobi_zero_beta_gap, jacobi_zero_beta, laguerre
 
 __all__ = [
     "EuclideanLevel",
@@ -116,19 +118,23 @@ def hyperbolic_kernel_abs_sq(level: HyperbolicLevel, z: complex, w: complex) -> 
     if not (abs(z) < 1.0 and abs(w) < 1.0):
         raise DomainError("kernel arguments must lie in the open unit disc")
     rho = abs(z - w) / abs(1.0 - z * w.conjugate())
-    prof = _radial_profile(level, 1.0 - rho * rho)
+    prof = float(_radial_profile(level, math.log1p(-rho * rho), rho * rho))
     return prof / ((1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)) ** (2.0 * level.nu)
 
 
-def _radial_profile(level: HyperbolicLevel, g):
-    """(beta/pi g^{nu - m} P_m^{(0, beta)}(2 g - 1))^2 with g = 1 - rho^2.
+def _radial_profile(level: HyperbolicLevel, log_g, rho2):
+    """(beta/pi g^{nu - m} P_m^{(0, beta)}(1 - 2 rho^2))^2 with g = 1 - rho^2.
 
-    The one home of the radial weight profile, for a scalar or an array
-    ``g``; callers pass g in whichever cancellation-free form they hold.
+    The one home of the radial weight profile, for scalars or arrays.
+    Callers pass log g and rho^2 in whichever cancellation-free form they
+    hold: g^{nu - m} = exp((nu - m) log g) and the Jacobi factor in rho^2
+    then keep full accuracy where g is within a few ulps of 1 and beta is
+    large.
     """
     beta = level.beta
-    return (beta / math.pi * g ** (level.nu - level.m)
-            * jacobi_zero_beta(level.m, beta, 2.0 * g - 1.0)) ** 2
+    power = np.exp((level.nu - level.m) * log_g)
+    return (beta / math.pi * power
+            * _jacobi_zero_beta_gap(level.m, beta, np.asarray(rho2, dtype=float))) ** 2
 
 
 def f_profile(level: HyperbolicLevel, rho: float) -> float:
@@ -140,4 +146,4 @@ def f_profile(level: HyperbolicLevel, rho: float) -> float:
     """
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
-    return _radial_profile(level, 1.0 - rho * rho)
+    return float(_radial_profile(level, math.log1p(-rho * rho), rho * rho))

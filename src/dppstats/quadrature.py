@@ -15,8 +15,7 @@ and is the default.
 
 There is one engine, :func:`integrate_rows`, with one implementation of
 each scheme.  It integrates a family of integrands, one per row, each over
-its own limits; the disc variance routes use it to evaluate the lens
-integral at every outer node in one array pass.  Its integrand sees a
+its own limits, such as the pieces of one interval.  Its integrand sees a
 (rows x nodes) matrix of nodes together with the row indices, so per-row
 parameters broadcast as ``params[rows]``.  Under ``gauss_legendre_fixed``
 every row doubles its order on its own and leaves the active set as soon

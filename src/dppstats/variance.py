@@ -1,12 +1,15 @@
 """Count variances in centred discs, their large-radius asymptotics and the
 flat-geometry limit.
 
-The planar routes are one computation, a radial integral against the lens
-area A(rho) = r g(rho^2) (g is Shirai's angular factor) with an exact
-Gauss-Laguerre rest past rho = 2r, so their agreement checks nothing.  The
-disc routes are the direct angular and the integration-by-parts lens
-integrals.  Also here: the constant C of Var(N_r) ~ C / (1 - r^2) as r -> 1,
-and the curvature-rescaling table that links the disc family to the planar one.
+Each geometry has one computation: a radial integral of a weight times a
+lens area, plus the exact integral of the weight past the point where the
+area stops growing.  On the plane the area is A(rho) = r g(rho^2) (g is
+Shirai's angular factor) and the rest past rho = 2r is a Gauss-Laguerre sum;
+on the disc the area is the Gauss-Bonnet closed form and the rest a
+Gauss-Jacobi sum.  Each computation carries two route names (shirai and
+geometric, int1 and int3), so their agreement checks nothing.  Also here:
+the constant C of Var(N_r) ~ C / (1 - r^2) as r -> 1, and the
+curvature-rescaling table that links the disc family to the planar one.
 
 Conventions.  The radial reduction of the disc-process variance is
 
@@ -18,13 +21,11 @@ factor 2 of the variance formula is absorbed into the 4 pi prefactor
 exactly once (2 from doubling I to a hyperbolic area, 2 pi from the angular
 integration of the radial measure).
 
-The radial integral runs in u = atanh(rho) against :func:`_radial_weight`,
-split at the lens kink into three pieces that refine together.  Each call
-of its integrand holds the nodes of every piece still refining and
-evaluates the lens integral at all of them at once, through the batched
-lens functions of :mod:`dppstats.geometry`; it records the largest
-weighted inner error, which enters the error estimate as
-(range length) x (that supremum).
+In u = atanh(rho) the disc integral is taken against :func:`_radial_weight`
+up to the lens kink u = R = 2 atanh(r), the hyperbolic radius of D_r; past
+it I is constant and the weight integrates exactly (:func:`_weight_tail`).
+The returned error is the error of that one quadrature plus a rounding
+bound, and it is checked against the tolerance once, at the end.
 """
 
 from __future__ import annotations
@@ -32,17 +33,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import special
+from scipy import linalg, special
 
-from .exceptions import DomainError, TruncationFailure
-from .geometry import (_lens_direct, _lens_transformed,
-                       euclidean_lens_complement_area)
+from .exceptions import DomainError, QuadratureFailure, TruncationFailure
+from .geometry import _lens_area, euclidean_lens_complement_area
 from .kernels import EuclideanLevel, HyperbolicLevel, _radial_profile
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate_interval
-from .specfun import log_pochhammer
+from .specfun import _jacobi_zero_beta_gap
 
 __all__ = [
     "VarianceResult",
@@ -80,6 +80,10 @@ class ContractionRow:
     euclidean_target: float
     ratio: float
 
+
+_EPS = float(np.finfo(float).eps)
+# the largest log of a factor of the radial weight; e^700 leaves room below overflow
+_LOG_HUGE = 700.0
 
 # planar tail cuts c = 4n + 40, 4n + 60, ... lie past the oscillatory region
 # of L_n (t <~ 4n + 2) and stop before e^{-c/2} leaves the normal doubles
@@ -149,17 +153,23 @@ def variance_euclidean_geometric(level: EuclideanLevel, r: float,
     return _variance_planar(level, r, quad, "geometric")
 
 
-def _jacobi_endpoint_max(level: HyperbolicLevel) -> float:
-    """max of |P_m^{(0, beta)}| on [-1, 1], attained at -1 for beta > 0."""
-    if level.m == 0:
-        return 1.0
-    return math.exp(log_pochhammer(level.beta + 1.0, level.m) - math.lgamma(level.m + 1))
+def _log_weight_envelope(level: HyperbolicLevel) -> float:
+    """log of (beta/pi)^2 max |P_m^{(0, beta)}|^2, the largest factors of the
+    radial weight; :class:`QuadratureFailure` if they overflow a double."""
+    # max |P_m| = (beta + 1)_m / m!, by betaln: a difference of lgammas cancels at large beta
+    log_pmax = -special.betaln(level.beta + 1.0, level.m + 1.0) - math.log(level.beta + level.m + 1.0)
+    log_envelope = 2.0 * (math.log(level.beta / math.pi) + log_pmax)
+    if log_envelope > _LOG_HUGE:
+        raise QuadratureFailure(
+            f"the radial weight overflows at nu={level.nu}, m={level.m}: "
+            f"(beta/pi)^2 max|P_m|^2 = e^{log_envelope:.6g}")
+    return log_envelope
 
 
 def _radial_cutoff(level: HyperbolicLevel, envelope: float, abs_tol: float):
     """Upper limit U and tail bound for the radial integral in u = atanh(rho).
 
-    The u-integrand is bounded by M sech^{2 beta}(u) <= M 4^beta e^{-2 beta u}
+    The u-integrand is bounded by M sech^{2 beta}(u) <= M 4^beta e^{-2 beta U}
     with M = ``envelope``, so the tail past U is below
     M 4^beta e^{-2 beta U} / (2 beta).  Both are formed in log space, since
     4^beta alone overflows a double once beta exceeds about 511.
@@ -179,84 +189,160 @@ def _radial_weight(level: HyperbolicLevel, u):
     tanh u cosh^2 u (beta/pi sech^{2 (nu - m)} u P_m^{(0, beta)}(2 sech^2 u - 1))^2,
     i.e. rho (1 - rho^2)^{-1} times the profile of
     :func:`dppstats.kernels.f_profile`, with drho = sech^2 u du absorbed.
+    sech^2 u enters as its logarithm -2 log1p(2 sinh^2(u/2)) and rho^2 as
+    tanh^2 u, both accurate at the small u where a large beta puts the weight.
     """
-    sech2 = 1.0 / np.cosh(u) ** 2          # == 1 - rho^2, no cancellation
-    return np.tanh(u) / sech2 * _radial_profile(level, sech2)
+    sinh_half = np.sinh(0.5 * u)
+    log_g = -2.0 * np.log1p(2.0 * sinh_half * sinh_half)        # log sech^2 u
+    return np.sinh(u) * np.cosh(u) * _radial_profile(level, log_g, np.tanh(u) ** 2)
 
 
-def _inner_config(quad: QuadratureConfig) -> QuadratureConfig:
-    # the lens integral must be resolved below the outer tolerance
-    return replace(quad, rel_tol=max(quad.rel_tol * 1e-2, 1e-13),
-                   abs_tol=max(quad.abs_tol * 1e-2, 1e-14))
+def _peak_width(level: HyperbolicLevel) -> float:
+    """A u past which the weight has fallen by e^{-64}: 8 sqrt((m + 1)/beta).
+
+    Below it lie the peak of sech^{2 beta} u ~ e^{-beta u^2} and the m zeros of
+    the Jacobi factor.  A range much longer than this is split here, so that
+    the first Gauss-Legendre rules cannot miss a narrow peak at large beta.
+    """
+    return 8.0 * math.sqrt((level.m + 1) / level.beta)
 
 
-def _variance_hyperbolic_radial(level: HyperbolicLevel, r: float,
-                                quad: QuadratureConfig,
-                                lens: Callable, route: str) -> VarianceResult:
+@functools.lru_cache(maxsize=256)
+def _tail_rule(m: int, beta: float):
+    """(m + 1)-point Gauss rule for t^{beta - 1} dt on [0, 1], in y = beta (1 - t).
+
+    Golub-Welsch on the Jacobi matrix of (1 - x)^{beta - 1} dx, x = 1 - t,
+    whose entries are written without cancellation and scaled by beta, so
+    they stay finite for every beta > 0 (they tend to the Gauss-Laguerre
+    ones, 2k + 1 and k, as beta grows).  Returns nodes y and weights
+    summing to 1; all weights are positive.
+    """
+    b = beta - 1.0
+    k = np.arange(1.0, m + 1.0)
+    diag = np.empty(m + 1)
+    diag[0] = beta / (b + 2.0)
+    diag[1:] = beta / (2.0 * k + b) * (2.0 * k * (k + b + 1.0) + b) / (2.0 * k + b + 2.0)
+    off = (beta / (2.0 * k + b) * k * (k + b)
+           / (np.sqrt(2.0 * k + b + 1.0) * np.sqrt(2.0 * k + b - 1.0)))
+    if m == 0:
+        y, w = diag, np.ones(1)
+    else:
+        y, vectors = linalg.eigh_tridiagonal(diag, off)
+        w = vectors[0] ** 2
+    y.setflags(write=False)           # cached: every caller shares these arrays
+    w.setflags(write=False)
+    return y, w
+
+
+def _weight_tail(level: HyperbolicLevel, u0: float):
+    """log of int_{u0}^inf :func:`_radial_weight` du, exactly, and its size.
+
+    With s = sech^2 u the integral is
+    1/2 (beta/pi)^2 int_0^{s0} s^{beta - 1} P_m^{(0, beta)}(2s - 1)^2 ds,
+    s0 = sech^2 u0.  Put s = s0 t: the Jacobi factor is a polynomial of
+    degree 2m in t, so :func:`_tail_rule` integrates it exactly and
+    every term is positive:
+
+        beta/(2 pi^2) s0^beta sum_i w_i P_m^{(0, beta)}(1 - 2 (1 - s0 t_i))^2,
+
+    with 1 - s0 t_i = tanh^2 u0 + s0 y_i / beta.  The prefactor is formed in
+    log space; at m = 0 the sum is 1.  Returns (log value, sum of the
+    magnitudes of the logarithms added), the second for a rounding bound.
+    """
+    beta, m = level.beta, level.m
+    log_s0 = -2.0 * math.log1p(2.0 * math.sinh(0.5 * u0) ** 2)
+    y, w = _tail_rule(m, beta)
+    one_minus_s = math.tanh(u0) ** 2 + math.exp(log_s0) * y / beta
+    p = _jacobi_zero_beta_gap(m, beta, one_minus_s)
+    parts = (math.log(beta / (2.0 * math.pi ** 2)), beta * log_s0, math.log(float(w @ (p * p))))
+    return sum(parts), sum(abs(x) for x in parts)
+
+
+def _variance_disc(level: HyperbolicLevel, r: float, quad: QuadratureConfig,
+                   route: str) -> VarianceResult:
+    """V = 4 pi [int_0^R w(u) I(u) du + lens_max int_R^inf w(u) du], R = 2 atanh r.
+
+    w is :func:`_radial_weight` and I the closed-form lens area
+    (:func:`dppstats.geometry._lens_area`), which is lens_max from u = R on;
+    the second integral is :func:`_weight_tail`.  The first runs in
+    u = R - w^2, which removes the square-root behaviour of I at the kink
+    and hands the lens R - u = w^2 exactly.  Its error is the one that
+    :func:`integrate_interval` checked, plus a rounding bound: an n-node
+    Gauss-Legendre rule is good to about 2 n eps relative, u = R - w^2 moves
+    the peak of the weight by eps R, and the tail's prefactor is an
+    exponential.  :class:`QuadratureFailure` is raised if the sum misses
+    the tolerance.
+    """
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r}")
-    beta = level.beta
-    inner_quad = _inner_config(quad)
-    inner_err_sups = [0.0]                       # per outer call: sup of the error integrand
+    _log_weight_envelope(level)
+    beta, R = level.beta, 2.0 * math.atanh(r)
+    peak = _peak_width(level)
+    resolution = 4.0 * (level.m + 1) * R * math.sqrt(beta) * _EPS
+    if resolution > quad.rel_tol:
+        raise QuadratureFailure(
+            f"u = R - w^2 resolves the weight's peak at u ~ {peak:.3g} only to "
+            f"{resolution:.3g} relative at nu={level.nu}, m={level.m}, r={r}")
+    nodes = [0]                                  # largest rule the quadrature used
 
-    def outer(u):
-        # every outer node's lens integral in one batched call
-        nodes = np.ravel(u).astype(float)
-        weight = _radial_weight(level, nodes)
-        value, err, _ = lens(r, nodes, inner_quad)
-        inner_err_sups.append(float(np.max(weight * err, initial=0.0)))
-        return (weight * value).reshape(np.shape(u))
+    def f(w):
+        nodes[0] = max(nodes[0], np.shape(w)[-1])
+        gap = w * w
+        u = R - gap
+        return 2.0 * w * _radial_weight(level, u) * _lens_area(R, u, gap)
 
-    lens_max = 0.5 * math.pi * r * r / (1.0 - r * r)
-    pmax_sq = _jacobi_endpoint_max(level) ** 2
-    envelope = (beta / math.pi) ** 2 * pmax_sq * lens_max
-    U, tail = _radial_cutoff(level, envelope, quad.abs_tol)
-    kink = math.atanh(2.0 * r / (1.0 + r * r))   # lens inner boundary switches here
-    piece_quad = replace(quad, abs_tol=quad.abs_tol / 4.0)
-    value, err = integrate_interval(outer, 0.0, U, piece_quad,
-                                    breakpoints=(kink, kink + 2.0))
-    # inner errors propagate through at most (range length) x (sup of the
-    # weighted inner error seen at the quadrature nodes)
-    err_total = err + tail + U * max(inner_err_sups)
-    return VarianceResult(max(4.0 * math.pi * value, 0.0),
-                          4.0 * math.pi * err_total, route)
+    breakpoints = (math.sqrt(R - peak),) if 8.0 * peak < R else ()
+    value, err = integrate_interval(f, 0.0, math.sqrt(R), quad, breakpoints)
+    log_tail, log_size = _weight_tail(level, R)
+    rest = 0.5 * math.pi * math.sinh(0.5 * R) ** 2 * math.exp(log_tail)   # lens_max x tail
+    rounding = (_EPS * (2.0 * nodes[0] + 16.0) + resolution) * value + _EPS * (8.0 + log_size) * rest
+    total, err_total = 4.0 * math.pi * (value + rest), 4.0 * math.pi * (err + rounding)
+    if not err_total <= quad.tolerance(total):
+        raise QuadratureFailure(
+            f"disc variance at nu={level.nu}, m={level.m}, r={r}: error {err_total:.3e} "
+            f"exceeds tolerance {quad.tolerance(total):.3e}")
+    return VarianceResult(total, err_total, route)
 
 
 def variance_hyperbolic(level: HyperbolicLevel, r: float,
                         quad: QuadratureConfig = DEFAULT_QUAD) -> VarianceResult:
-    """Disc-process count variance via the direct angular lens integral."""
-    return _variance_hyperbolic_radial(level, r, quad, _lens_direct, "int1")
+    """Disc-process count variance: one radial integral of the closed-form lens
+    area with an exact rest past the kink (:func:`_variance_disc`)."""
+    return _variance_disc(level, r, quad, "int1")
 
 
 def variance_hyperbolic_via_transformed(level: HyperbolicLevel, r: float,
                                         quad: QuadratureConfig = DEFAULT_QUAD) -> VarianceResult:
-    """Disc-process count variance via the integration-by-parts lens route.
+    """The computation of :func:`variance_hyperbolic` under the route name int3.
 
-    Identical contract to :func:`variance_hyperbolic`; the two share no
-    quadrature structure in the inner integral and serve as independent
-    cross-checks of each other.
+    The two disc routes once integrated the lens by different quadratures;
+    both now use its closed form, so their agreement checks nothing.  The
+    independent checks are :func:`dppstats.counting.variance_series` at
+    m = 0 and the quadrature-lens oracle of the test suite at m > 0.
     """
-    return _variance_hyperbolic_radial(level, r, quad, _lens_transformed, "int3")
+    return _variance_disc(level, r, quad, "int3")
 
 
 def asymptotic_constant(level: HyperbolicLevel,
                         quad: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Constant C in Var(N_r) ~ C / (1 - r^2) as r -> 1.
 
-    C = 2 pi * int_0^1 rho (1 - rho^2)^{-2} f(rho) arccos(1 - 2 rho^2) drho,
-    finite because 2 (nu - m) - 1 > 0.  Bounded above by 2 (nu - m) - 1.
+    C = 2 pi * int_0^inf w(u) arccos(1 - 2 tanh^2 u) du with the weight
+    :func:`_radial_weight`, finite because 2 (nu - m) - 1 > 0.  Bounded above
+    by 2 (nu - m) - 1.  The integral is taken up to the cutoff U of
+    :func:`_radial_cutoff`, and past U arccos(1 - 2 tanh^2 u) = 2 asin(tanh u)
+    is replaced by pi, which adds pi :func:`_weight_tail` (U) and leaves at
+    most 2 asin(sech U) times that tail out.
     """
-    beta = level.beta
+    envelope = math.pi * math.exp(_log_weight_envelope(level))
 
     def outer(u):
-        u = np.atleast_1d(u)
-        sech2 = 1.0 / np.cosh(u) ** 2
-        return _radial_weight(level, u) * np.arccos(np.clip(2.0 * sech2 - 1.0, -1.0, 1.0))
+        return _radial_weight(level, u) * 2.0 * np.arcsin(np.tanh(u))
 
-    envelope = (beta / math.pi) ** 2 * _jacobi_endpoint_max(level) ** 2 * math.pi
-    U, tail = _radial_cutoff(level, envelope, quad.abs_tol)
-    value, _ = integrate_interval(outer, 0.0, U, quad)
-    return 2.0 * math.pi * value
+    U, _ = _radial_cutoff(level, envelope, quad.abs_tol)
+    peak = _peak_width(level)
+    value, _ = integrate_interval(outer, 0.0, U, quad, (peak,) if 8.0 * peak < U else ())
+    return 2.0 * math.pi * (value + math.pi * math.exp(_weight_tail(level, U)[0]))
 
 
 def contraction_check(m: int, r: float, R_values: Sequence[float],

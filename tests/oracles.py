@@ -1,4 +1,4 @@
-"""Reference special functions that only the tests use.
+"""Reference forms that only the tests use.
 
 Direct forms of quantities the library computes another way: the rising
 factorial as a product, the incomplete beta integral by adaptive
@@ -7,16 +7,26 @@ regularized incomplete beta function.  They serve as oracles for
 ``log_pochhammer`` and for the success probabilities of the m = 0 count law.
 The planar count variances have two closed references: the Ginibre form at
 n = 0 and Shirai's sector series at every level.
+
+The hyperbolic lens integral has two quadrature forms, the direct angular
+one and the integration-by-parts one, batched over an array of |z|.  They
+are the oracles of the library's Gauss-Bonnet closed form, and the disc
+variance with the lens taken by quadrature at every outer node is the
+oracle of the disc routes at m > 0.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy import integrate, special
 
-from dppstats import DomainError
+from dppstats import (DEFAULT_QUAD, DomainError, LensIntegralResult,
+                      QuadratureConfig, QuadratureFailure)
+from dppstats.quadrature import integrate_interval, integrate_rows
+from dppstats.variance import _radial_weight, _weight_tail
 
 
 def pochhammer(a: float, j: int) -> float:
@@ -118,3 +128,209 @@ def planar_sector_variance(n: int, r: float, nodes: int = 400) -> float:
         if k > r * r and p < 1e-18:
             return total
         k += 1
+
+
+# Floating-point roundoff can push an arccos argument marginally past +-1 at
+# integration endpoints (analytically the endpoints are exactly +-1).  Within
+# this window the argument is clamped; beyond it the inputs are wrong.
+ACOS_CLAMP_WINDOW = 1e-12
+
+
+def _nonneg_clamped(x: np.ndarray, name: str) -> np.ndarray:
+    low = float(x.min())
+    if low < -ACOS_CLAMP_WINDOW:
+        raise DomainError(
+            f"{name} is negative by {-low:.3e}, beyond the "
+            f"{ACOS_CLAMP_WINDOW} roundoff window")
+    return np.maximum(x, 0.0)
+
+
+def _lens_rows(u_z, live_mask):
+    """Zero-filled (value, error, converged) outputs and the live row indices."""
+    return (np.zeros(u_z.shape), np.zeros(u_z.shape), np.ones(u_z.shape, dtype=bool),
+            np.flatnonzero(live_mask))
+
+
+def _lens_direct(r: float, u_z: np.ndarray, quad: QuadratureConfig):
+    """Angular lens integral at every u_z = atanh(|z|) of an array, batched.
+
+    Returns (value, error_estimate, converged) arrays shaped like ``u_z``;
+    nothing is raised.  Rows with an empty range (|z| = 0) are exactly 0.
+
+    The integral of arccos(g(t)) t (1-t^2)^{-2} dt, with
+    g(t) = (t^2+|C|^2-R^2)/(2t|C|), runs from max(r, inner_edge) to
+    outer_edge.  Everything is evaluated in u = atanh(t), where the
+    geometry is exact: with u_r = atanh(r) the range is
+    [max(u_r, |u_z - u_r|), u_z + u_r] by the tanh addition law, and the
+    (1-t^2)^{-2} weight becomes sinh(u) cosh(u).  The substitutions
+    u = end -+ w^2 at both endpoints remove the square-root behaviour of
+    arccos where its argument reaches +-1; the two pieces of every |z| are
+    stacked as rows of one :func:`integrate_rows` call, lower-end pieces
+    first.
+
+    arccos(g) itself is computed as 2 atan2(sqrt(1-g), sqrt(1+g)) from the
+    factorizations
+
+        1 - g = (outer_edge - t)(t - s) / (2 t |C|),
+        1 + g = (t + s)(t + outer_edge) / (2 t |C|),
+
+    where s = |C| - R carries the sign of |z| - r and |s| = inner_edge.
+    The differences ``outer_edge - t`` and ``t - inner_edge`` are formed
+    through the tanh-difference identity
+    tanh a - tanh b = sinh(a-b)/(cosh a cosh b), keeping full accuracy when
+    the range crowds against the boundary of the unit disc.
+    """
+    u_z = np.asarray(u_z, dtype=float)
+    u_r = math.atanh(r)
+    u_in = np.abs(u_z - u_r)
+    u_lo = np.maximum(u_r, u_in)
+    u_hi = u_z + u_r
+    value, err, converged, live = _lens_rows(u_z, u_lo < u_hi)
+    if live.size == 0:
+        return value, err, converged
+    u_z, u_in, u_lo, u_hi = u_z[live], u_in[live], u_lo[live], u_hi[live]
+    sech2_z = 1.0 / np.cosh(u_z) ** 2
+    denom = (1.0 - r * r) + r * r * sech2_z       # == 1 - |z|^2 r^2
+    c = (1.0 - r * r) * np.tanh(u_z) / denom      # centre modulus |C|
+    span = u_hi - u_lo
+    lo_to_in = u_lo - u_in            # 0 when the inner edge is the lower bound
+    # per stacked row, at w = 0: the endpoint u, the gaps u_hi - u and
+    # u - u_in, and the direction the substitution moves u in
+    params = np.stack([
+        np.concatenate([u_lo, u_hi]),
+        np.concatenate([span, np.zeros(live.size)]),
+        np.concatenate([lo_to_in, span + lo_to_in]),
+        np.repeat([1.0, -1.0], live.size),
+        np.tile(np.cosh(u_hi), 2),
+        np.tile(np.cosh(u_in), 2),
+        np.tile(np.tanh(u_in), 2),                # inner_edge
+        np.tile(np.tanh(u_hi), 2),                # outer_edge
+        np.tile(c, 2)])
+    center_ge_radius = np.tile(u_z >= u_r, 2)     # sign of |C| - R
+
+    def integrand(w, rows):
+        end, hi_gap, in_gap, sign, cosh_hi, cosh_in, inner_edge, upper, c = params[:, rows]
+        ge = center_ge_radius[rows]
+        w2 = sign * (w * w)
+        u = end + w2
+        t = np.tanh(u)
+        cosh_u = np.cosh(u)
+        d_up = np.sinh(hi_gap - w2) / (cosh_hi * cosh_u)    # outer_edge - t
+        d_in = np.sinh(in_gap + w2) / (cosh_in * cosh_u)    # t - inner_edge
+        t_plus_in = t + inner_edge
+        one_minus_g = d_up * np.where(ge, d_in, t_plus_in)
+        one_plus_g = np.where(ge, t_plus_in, d_in) * (t + upper)
+        scale = 2.0 * t * c
+        one_minus_g = _nonneg_clamped(one_minus_g / scale, "1 - arccos argument")
+        one_plus_g = _nonneg_clamped(one_plus_g / scale, "1 + arccos argument")
+        acos = 2.0 * np.arctan2(np.sqrt(one_minus_g), np.sqrt(one_plus_g))
+        return 2.0 * w * (acos * np.sinh(u) * cosh_u)
+
+    w_mid = np.tile(np.sqrt(0.5 * span), 2)
+    v, e, ok = integrate_rows(integrand, 0.0, w_mid, quad)
+    n = live.size
+    value[live] = v[:n] + v[n:]
+    err[live] = e[:n] + e[n:]
+    converged[live] = ok[:n] & ok[n:]
+    return value, err, converged
+
+
+def _lens_transformed(r: float, u_z: np.ndarray, quad: QuadratureConfig):
+    """The integration-by-parts lens form at every u_z = atanh(|z|), batched.
+
+    Same contract as :func:`_lens_direct`.  Integration by parts turns the
+    angular integral into a rational integral over the squared modulus s
+    plus an explicit boundary term at t = r, active exactly when
+    |z| < 2r/(1+r^2):
+
+        I = (1/2) * int_0^{u_max} [ B/s + (1+B)/(1-s) ] du
+            - arccos(|z| (1+r^2) / (2r)) / (2 (1-r^2)),
+
+    where (C, R) = image_disc(|z|, r), B = R^2 - |C|^2, and
+    s = F - 4|C|R sin^2(u) falls from the squared outer edge
+    F = tanh^2(u_z + u_r) (u_r = atanh r) until it meets r^2 or the squared
+    inner edge: sin^2(u_max) = min(1, (F - r^2)/(4|C|R)).  The sin^2
+    substitution removes both square-root endpoints of the integral in s.
+    One row per |z|.
+    """
+    u_z = np.asarray(u_z, dtype=float)
+    u_r = math.atanh(r)
+    value, err, converged, live = _lens_rows(
+        u_z, np.maximum(u_r, np.abs(u_z - u_r)) < u_z + u_r)
+    if live.size == 0:
+        return value, err, converged
+    u_z = u_z[live]
+    z = np.tanh(u_z)
+    sech2_z = 1.0 / np.cosh(u_z) ** 2
+    denom = (1.0 - r * r) + r * r * sech2_z        # == 1 - z^2 r^2
+    excess = (sech2_z - (1.0 - r * r)) / denom     # == (r^2 - z^2)/(1 - z^2 r^2)
+    radius = sech2_z * r / denom
+    center = (1.0 - r * r) * z / denom
+    outer_sq = np.tanh(u_z + u_r) ** 2
+    span = 4.0 * center * radius
+    gap = sech2_z * (1.0 - r * r) / (1.0 + z * r) ** 2
+    # (1 + excess)/gap collapses to the cancellation-free closed form term_gap
+    params = np.stack([
+        excess / outer_sq,                                              # term_outer
+        span / outer_sq,                                                # v_rate
+        (1.0 + r * r) * (1.0 + z * r) / ((1.0 - z * r) * (1.0 - r * r)),  # term_gap
+        span / gap])                                                    # u_rate
+    cut = (2.0 * r + z * (1.0 + r * r)) * (1.0 - z * r) ** 2 / (4.0 * r * sech2_z)
+    u_max = np.arcsin(np.sqrt(np.minimum(1.0, cut)))
+
+    def rational(u, rows):
+        term_outer, v_rate, term_gap, u_rate = params[:, rows]
+        s2 = np.sin(u) ** 2
+        return term_outer / (1.0 - v_rate * s2) + term_gap / (1.0 + u_rate * s2)
+
+    v, e, ok = integrate_rows(rational, 0.0, u_max, quad)
+    # the boundary term at t = r, active when z < 2r/(1+r^2) == tanh(2 u_r)
+    arg = np.minimum(1.0, z * (1.0 + r * r) / (2.0 * r))
+    boundary = np.where(u_z < 2.0 * u_r, np.arccos(arg) / (1.0 - r * r), 0.0)
+    value[live] = 0.5 * (v - boundary)
+    err[live] = 0.5 * e
+    converged[live] = ok
+    return value, err, converged
+
+
+def lens_integral(lens, r: float, z_modulus: float,
+                  quad: QuadratureConfig = DEFAULT_QUAD) -> LensIntegralResult:
+    """A batched quadrature lens at a single |z|; raises
+    :class:`QuadratureFailure` if the tolerance cannot be certified."""
+    values, errs, converged = lens(r, np.array([math.atanh(z_modulus)]), quad)
+    value, err = float(values[0]), float(errs[0])
+    if not converged[0] and err > quad.tolerance(value):
+        raise QuadratureFailure(
+            f"lens integral at r={r}, |z|={z_modulus}: error estimate {err:.3e} "
+            f"exceeds tolerance {quad.tolerance(value):.3e}")
+    return LensIntegralResult(value, err)
+
+
+def disc_variance_quadrature_lens(level, r: float, lens=_lens_direct,
+                                  quad: QuadratureConfig = DEFAULT_QUAD):
+    """(value, error) of the disc variance with the lens taken by quadrature.
+
+    The outer integral and the exact rest are the library's (u = R - w^2,
+    :func:`dppstats.variance._weight_tail`); at every outer node the lens
+    comes from the batched ``lens`` at a hundredth of the outer tolerance,
+    and its error enters as sqrt(R) times the largest weighted inner error.
+    The rounding of the n-node outer rule, 2 n eps relative, is added too.
+    """
+    R = 2.0 * math.atanh(r)
+    inner = replace(quad, rel_tol=max(quad.rel_tol * 1e-2, 1e-13),
+                    abs_tol=max(quad.abs_tol * 1e-2, 1e-14))
+    inner_err_sup, nodes = [0.0], [0]
+
+    def outer(w):
+        nodes[0] = max(nodes[0], np.shape(w)[-1])
+        flat = np.ravel(w)
+        weight = 2.0 * flat * _radial_weight(level, R - flat * flat)
+        value, err, _ = lens(r, R - flat * flat, inner)
+        inner_err_sup[0] = max(inner_err_sup[0], float(np.max(weight * err, initial=0.0)))
+        return (weight * value).reshape(np.shape(w))
+
+    value, err = integrate_interval(outer, 0.0, math.sqrt(R), quad)
+    rest = 0.5 * math.pi * math.sinh(0.5 * R) ** 2 * math.exp(_weight_tail(level, R)[0])
+    rounding = 2.0 * nodes[0] * np.finfo(float).eps * value
+    return (4.0 * math.pi * (value + rest),
+            4.0 * math.pi * (err + math.sqrt(R) * inner_err_sup[0] + rounding))

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from dppstats import (DEFAULT_QUAD, DomainError, QuadratureConfig,
-                      QuadratureFailure, euclidean_lens_complement_area, geometry, hyperbolic_distance,
+from dppstats import (DomainError, QuadratureConfig, QuadratureFailure,
+                      euclidean_lens_complement_area, hyperbolic_distance,
                       hyperbolic_lens_integral,
                       hyperbolic_lens_integral_transformed, image_disc, mobius)
-
-TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
+from oracles import _lens_direct, _lens_transformed, lens_integral
 
 
 def random_disc_points(rng, n, radius=0.95):
@@ -263,26 +262,24 @@ class TestHyperbolicLensIntegral:
 
     def test_doubles_to_grid_area(self):
         for r, z in [(0.6, 0.5), (0.6, 0.85), (0.3, 0.7)]:
-            val = hyperbolic_lens_integral(r, z, TIGHT).value
+            val = hyperbolic_lens_integral(r, z).value
             oracle = lens_region_grid_area(r, z)
             assert 2 * val == pytest.approx(oracle, rel=3e-3)
 
     def test_doubles_to_theta_slice_area(self):
         # exact-in-t / numeric-in-theta oracle, opposite integration order
         for r, z in [(0.6, 0.5), (0.6, 0.85), (0.3, 0.7), (0.9, 0.2), (0.2, 0.9)]:
-            val = hyperbolic_lens_integral(r, z, TIGHT).value
+            val = hyperbolic_lens_integral(r, z).value
             oracle = lens_region_theta_slice_area(r, z)
             assert 2 * val == pytest.approx(oracle, rel=1e-7)
 
     def test_scheme_cross_check(self):
-        from dppstats import QuadratureConfig
-        vals = {}
+        # the angular quadrature oracle agrees with the closed form under every scheme
+        closed = hyperbolic_lens_integral(0.6, 0.5).value
         for scheme in ("gauss_legendre_fixed", "adaptive_gauss_kronrod", "tanh_sinh"):
             cfg = QuadratureConfig(scheme=scheme, rel_tol=1e-11, abs_tol=1e-13)
-            vals[scheme] = hyperbolic_lens_integral(0.6, 0.5, cfg).value
-        base = vals["gauss_legendre_fixed"]
-        for scheme, v in vals.items():
-            assert v == pytest.approx(base, rel=1e-10), scheme
+            assert lens_integral(_lens_direct, 0.6, 0.5, cfg).value == pytest.approx(
+                closed, rel=1e-10), scheme
 
     def test_full_disc_closed_form(self):
         # inner_edge >= r: the region is the whole image disc, whose
@@ -290,23 +287,23 @@ class TestHyperbolicLensIntegral:
         r, z = 0.6, 0.99
         disc = image_disc(z, r)
         assert disc.inner_edge > r
-        val = hyperbolic_lens_integral(r, z, TIGHT).value
+        val = hyperbolic_lens_integral(r, z).value
         assert 2 * val == pytest.approx(math.pi * r * r / (1 - r * r), rel=1e-7)
 
     def test_route_equivalence_grid(self):
+        # one closed form under two names, so the results are identical
         for r in np.linspace(0.08, 0.92, 10):
             for z in np.linspace(0.05, 0.95, 10):
-                a = hyperbolic_lens_integral(r, z, TIGHT).value
-                b = hyperbolic_lens_integral_transformed(r, z, TIGHT).value
-                assert abs(a - b) <= 1e-7 * max(1.0, abs(a))
+                assert hyperbolic_lens_integral(r, z) == hyperbolic_lens_integral_transformed(r, z)
 
     def test_boundary_term_vanishes_continuously(self):
-        # at |z| = 2r/(1+r^2) the arccos argument is 1 and the subtraction is 0
-        r = 0.55
-        z_star = 2 * r / (1 + r * r)
-        below = hyperbolic_lens_integral_transformed(r, z_star * (1 - 1e-9), TIGHT).value
-        above = hyperbolic_lens_integral_transformed(r, z_star * (1 + 1e-9), TIGHT).value
-        assert below == pytest.approx(above, rel=1e-6)
+        # the lens is continuous and increasing up to its kink at |z| = 2r/(1+r^2)
+        for r in (1e-6, 0.55, 0.999999):
+            z_star = 2 * r / (1 + r * r)
+            vals = [hyperbolic_lens_integral_transformed(r, z_star * (1 + d)).value
+                    for d in (-1e-6, -1e-12, 0.0)]
+            assert vals[0] < vals[1] <= vals[2] * (1 + 4e-16)
+            assert vals[1] == pytest.approx(vals[2], rel=1e-5)
 
     def test_boundary_argument_identity(self):
         # (r^2 + |C|^2 - R^2)/(2 r |C|) == |z|(1 + r^2)/(2 r)
@@ -325,16 +322,19 @@ class TestHyperbolicLensIntegral:
 
     def test_near_unit_radius(self):
         # the r -> 1 regime the asymptotics rely on stays finite and positive
-        val = hyperbolic_lens_integral(0.999, 0.5, DEFAULT_QUAD).value
-        ref = hyperbolic_lens_integral_transformed(0.999, 0.5, DEFAULT_QUAD).value
+        val = hyperbolic_lens_integral(0.999, 0.5).value
+        ref = lens_integral(_lens_transformed, 0.999, 0.5).value
         assert val > 0
         assert val == pytest.approx(ref, rel=1e-8)
 
     def test_extreme_z_matches_invariant_area(self):
-        r = 0.8
-        for z in [0.999999, 1 - 1e-9, 1 - 1e-12]:
-            val = hyperbolic_lens_integral(r, z, DEFAULT_QUAD).value
-            assert 2 * val == pytest.approx(math.pi * r * r / (1 - r * r), rel=1e-6)
+        # past u = R = 2 atanh(r) the image disc has left D_r, and its area is that of D_r
+        for r in (1e-6, 1e-2, 0.5, 0.8, 0.999999):
+            R = 2 * math.atanh(r)
+            for z in [math.tanh(R + d) for d in (0.01, 0.1, 1.0)] + [1 - 1e-9, 1 - 1e-15]:
+                if math.atanh(z) > R:
+                    val = hyperbolic_lens_integral(r, z).value
+                    assert 2 * val == pytest.approx(math.pi * r * r / ((1 - r) * (1 + r)), rel=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -344,12 +344,12 @@ class TestHyperbolicLensIntegral:
 
 
 class TestBatchedLens:
-    """Row k of a batched lens call against the public one-|z| functions."""
+    """Row k of a batched quadrature oracle against its one-|z| form and the closed form."""
 
     @pytest.mark.parametrize("scheme", ["gauss_legendre_fixed", "tanh_sinh"])
     @pytest.mark.parametrize("batched, public", [
-        (geometry._lens_direct, hyperbolic_lens_integral),
-        (geometry._lens_transformed, hyperbolic_lens_integral_transformed)])
+        (_lens_direct, hyperbolic_lens_integral),
+        (_lens_transformed, hyperbolic_lens_integral_transformed)])
     def test_rows_match_scalar_lens(self, scheme, batched, public):
         cfg = QuadratureConfig(scheme=scheme, rel_tol=1e-12, abs_tol=1e-14)
         r = 0.55
@@ -362,16 +362,47 @@ class TestBatchedLens:
         assert ok.all()
         assert values[0] == values[1] == errs[0] == errs[1] == 0.0
         for z, v, e in zip(zs, values, errs):
-            one = public(r, z, cfg)
+            one = lens_integral(batched, r, z, cfg)
             assert v == pytest.approx(one.value, rel=1e-13, abs=1e-300)
             assert e <= max(1e-12, 1e-3 * abs(v))
+        # past the rows that rounding empties, the closed form
+        for z, v in zip(zs[2:], values[2:]):
+            assert v == pytest.approx(public(r, z).value, rel=1e-10)
         assert values[-1] == pytest.approx(0.5 * math.pi * r * r / (1 - r * r), rel=1e-9)
 
     def test_one_row_keeps_the_strict_contract(self, small_budget):
         small_budget(4, 8)
         cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
-        for public in (hyperbolic_lens_integral, hyperbolic_lens_integral_transformed):
+        for batched in (_lens_direct, _lens_transformed):
             with pytest.raises(QuadratureFailure):
-                public(0.6, 0.5, cfg)
-        _, err, ok = geometry._lens_direct(0.6, np.array([math.atanh(0.5)]), cfg)
+                lens_integral(batched, 0.6, 0.5, cfg)
+        _, err, ok = _lens_direct(0.6, np.array([math.atanh(0.5)]), cfg)
         assert not ok[0] and err[0] > 0.0           # the batch itself never raises
+
+
+class TestGaussBonnetLens:
+    """The closed-form lens against its quadrature oracles and the invariant area."""
+
+    @pytest.mark.parametrize("r", [1e-6, 1e-4, 1e-2, 0.3, 0.7, 0.99, 0.999999])
+    def test_closed_form_matches_quadrature_oracle(self, r):
+        kink = 2 * r / (1 + r * r)
+        zs = [1e-3 * kink, 0.3 * kink, kink * (1 - 1e-9), min(kink * (1 + 1e-9), 1 - 1e-15)]
+        if r >= 1e-4:
+            # at r = 1e-6 the oracle itself drifts by up to 1.5e-9 as |z| -> 1,
+            # where the closed form is the invariant area (next test)
+            zs += [0.5 * (1 + kink), 1 - 1e-9]
+        for z in zs:
+            oracle = lens_integral(_lens_direct, r, z, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300))
+            assert hyperbolic_lens_integral(r, z).value == pytest.approx(oracle.value, rel=1e-10)
+
+    @pytest.mark.parametrize("r", [0.05, 0.3, 0.7, 0.99])
+    def test_closed_form_matches_integration_by_parts_oracle(self, r):
+        # that form subtracts a boundary term that cancels at small r
+        kink = 2 * r / (1 + r * r)
+        for z in [1e-3 * kink, 0.3 * kink, kink * (1 - 1e-9), kink * (1 + 1e-9), 0.5 * (1 + kink)]:
+            oracle = lens_integral(_lens_transformed, r, z, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300))
+            assert hyperbolic_lens_integral(r, z).value == pytest.approx(oracle.value, rel=1e-10)
+
+    def test_error_estimate_is_a_rounding_bound(self):
+        res = hyperbolic_lens_integral(0.4, 0.3)
+        assert 0.0 < res.error_estimate <= 1e-14 * res.value

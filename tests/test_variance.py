@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special
 
 from dppstats import (DomainError, EuclideanLevel, HyperbolicLevel,
-                      QuadratureConfig, VarianceResult, asymptotic_constant,
-                      contraction_check, f_profile, geometry, quadrature,
-                      variance,
+                      QuadratureConfig, QuadratureFailure, TruncationFailure,
+                      VarianceResult, asymptotic_constant, build_profile,
+                      contraction_check, f_profile, quadrature, variance,
                       variance_euclidean_geometric,
                       variance_euclidean_shirai, variance_hyperbolic,
                       variance_hyperbolic_via_transformed)
-from oracles import ginibre_variance, planar_sector_variance
+from oracles import (_lens_direct, _lens_transformed, disc_variance_quadrature_lens,
+                     ginibre_variance, planar_sector_variance)
+
+DISC_ROUTES = (variance_hyperbolic, variance_hyperbolic_via_transformed)
 
 PLANAR_ROUTES = (variance_euclidean_shirai, variance_euclidean_geometric)
 
@@ -199,6 +203,13 @@ class TestAsymptoticConstant:
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] < 0.02
 
+    @pytest.mark.parametrize("nu, m, exact", [
+        (1.0, 0, 1 / 2), (2.0, 0, 15 / 16), (2.0, 1, 11 / 16), (3.0, 1, 375 / 256),
+        (3.5, 2, 669 / 512)])
+    def test_dyadic_constants(self, nu, m, exact):
+        # without the exact weight tail past the cutoff C came out 3.1e-12 short
+        assert asymptotic_constant(HyperbolicLevel(nu, m)) == pytest.approx(exact, abs=1e-13)
+
     def test_self_consistency_at_high_radius(self):
         level = HyperbolicLevel(2.0, 0)
         c = asymptotic_constant(level)
@@ -258,6 +269,45 @@ class TestLargeBeta:
         rows = contraction_check(m, 1.0, [32.0])
         assert rows[0].ratio == pytest.approx(1.0, abs=0.05)
 
+    def test_asymptotic_constant_at_m0_matches_closed_form(self):
+        # C = Gamma(beta + 1/2) / (sqrt(pi) Gamma(beta)) = 1 / B(beta, 1/2); at
+        # nu = 1e8 the weight's peak, of width ~ beta^{-1/2}, needs its own piece
+        for nu in (0.51, 3.0, 300.0, 1e8, 1e12):
+            beta = 2.0 * nu - 1.0
+            exact = math.exp(-special.betaln(beta, 0.5))
+            assert asymptotic_constant(HyperbolicLevel(nu, 0)) == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("nu", [1e8, 1e10, 1e300])
+    def test_large_nu_raises_or_scales_like_sqrt_beta(self, nu):
+        # the weight lives in u <~ beta^{-1/2}, so V grows like sqrt(beta); at
+        # 1e8 a quadrature that missed that peak returned 5316.89 +- 3e-7
+        # (about 5319.2 is right), at 1e10 0 +- 0, at 1e300 an OverflowError
+        ref_level = HyperbolicLevel(1e6, 0)
+        ref = variance_hyperbolic(ref_level, 0.5).value
+        level = HyperbolicLevel(nu, 0)
+        try:
+            value = variance_hyperbolic(level, 0.5).value
+        except (DomainError, QuadratureFailure, TruncationFailure):
+            return
+        scaled = value * math.sqrt(ref_level.beta / level.beta)
+        assert scaled == pytest.approx(ref, rel=1e-5)
+
+    def test_contraction_rows_keep_their_values(self):
+        # ratios of the quadrature-lens routes these rows replaced; at
+        # (m, R) = (1, 4096) those routes raised QuadratureFailure
+        before = {(0, 32.0): 1.0004015462723506, (0, 256.0): 1.000006271311938,
+                  (0, 4096.0): 1.0000000255250563, (1, 32.0): 0.9986840908536424,
+                  (1, 256.0): 0.9999794811732865, (2, 32.0): 0.9968306267218482,
+                  (2, 256.0): 0.9999505645189135, (2, 4096.0): 0.9999998068833341}
+        for m in (0, 1, 2):
+            rows = contraction_check(m, 1.0, [32.0, 256.0, 4096.0])
+            for row in rows:
+                if (m, row.scale) in before:
+                    assert row.ratio == pytest.approx(before[m, row.scale], rel=1e-8)
+            # R^2 (ratio - 1) settles to a constant of the level
+            slopes = [row.scale ** 2 * (row.ratio - 1.0) for row in rows[1:]]
+            assert slopes[1] == pytest.approx(slopes[0], rel=1e-2)
+
     def test_cutoff_tail_is_finite(self):
         for nu in (300.0, 2000.0):
             level = HyperbolicLevel(nu, 0)
@@ -276,63 +326,100 @@ class TestRadialWeight:
 
 
 class TestBatchedOuterIntegral:
-    def test_lens_integrand_calls_do_not_scale_with_outer_nodes(self, monkeypatch):
-        # int1 at (1, 0, 0.9): the lens integrand runs once per outer
-        # evaluation and inner doubling, on every outer node at once, instead
-        # of once per outer node
-        calls = []
-        real = geometry.integrate_rows
-
-        def counted(f, a, b, config):
-            def g(x, rows):
-                calls.append(np.shape(x))
-                return f(x, rows)
-            return real(g, a, b, config)
-
-        monkeypatch.setattr(geometry, "integrate_rows", counted)
-        res = variance_hyperbolic(HyperbolicLevel(1.0, 0), 0.9)
-        assert res.value == pytest.approx(peres_virag(0.9), rel=1e-9)
-        assert 0 < len(calls) <= 64
-        assert max(shape[0] for shape in calls) >= 64   # rows are outer nodes
-
-    def test_node_block_cap_leaves_values_unchanged(self, monkeypatch):
-        # int3 near r = 1 doubles deep: a small cap splits its rows into many
-        # chunks without changing a bit of the result
-        level = HyperbolicLevel(2.0, 1)
-        sizes = []
-        real = geometry.integrate_rows
-
-        def counted(f, a, b, config):
-            def g(x, rows):
-                sizes.append(np.size(x))
-                return f(x, rows)
-            return real(g, a, b, config)
-
-        monkeypatch.setattr(geometry, "integrate_rows", counted)
-        ref = variance_hyperbolic_via_transformed(level, 0.999)
-        assert max(sizes) > 4096
-        sizes.clear()
-        monkeypatch.setattr(quadrature, "_NODE_BLOCK", 4096)
-        capped = variance_hyperbolic_via_transformed(level, 0.999)
-        assert max(sizes) <= 4096
-        assert (capped.value, capped.error_estimate) == (ref.value, ref.error_estimate)
-
     @settings(max_examples=25, deadline=None)
     @given(nu=st.floats(0.7, 8.0), m=st.integers(0, 2), r=st.floats(0.15, 0.999))
     def test_routes_agree_within_error_bars(self, nu, m, r):
-        # beta >= 0.45 and r >= 0.15 stay clear of the small-beta tail (D3)
-        # and of the small-r regime, whose estimates are known to run short
         assume(2.0 * (nu - m) - 1.0 >= 0.45 and m <= math.floor(nu - 0.5))
         level = HyperbolicLevel(nu, m)
         a = variance_hyperbolic(level, r)
         b = variance_hyperbolic_via_transformed(level, r)
-        slack = 1e-13 * max(a.value, b.value)
-        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate + slack
+        # one computation under two names
+        assert (a.value, a.error_estimate) == (b.value, b.error_estimate)
 
     @settings(max_examples=15, deadline=None)
     @given(r=st.floats(0.15, 0.999))
     def test_exact_ground_level_within_error_bars(self, r):
         ref = peres_virag(r)
-        for route in (variance_hyperbolic, variance_hyperbolic_via_transformed):
+        for route in DISC_ROUTES:
             res = route(HyperbolicLevel(1.0, 0), r)
             assert abs(res.value - ref) <= res.error_estimate + 1e-13 * ref
+
+
+class TestDiscOracles:
+    """The one disc computation against the series and the quadrature-lens oracle."""
+
+    def test_one_quadrature_and_no_lens_quadrature(self, monkeypatch):
+        # the lens is a closed form: a disc variance makes one integrate_rows
+        # call, and its integrand sees every piece's nodes at once
+        calls, shapes = [], []
+        real = quadrature.integrate_rows
+
+        def counted(f, a, b, config):
+            calls.append(np.size(a))
+
+            def g(x, rows):
+                shapes.append(np.shape(x))
+                return f(x, rows)
+            return real(g, a, b, config)
+
+        monkeypatch.setattr(quadrature, "integrate_rows", counted)
+        res = variance_hyperbolic(HyperbolicLevel(1.0, 0), 0.9)
+        assert res.value == pytest.approx(peres_virag(0.9), rel=1e-12)
+        assert calls == [1] and 0 < len(shapes) <= 9
+
+    @settings(max_examples=40, deadline=None)
+    @given(nu=st.floats(0.5, 8.0, exclude_min=True), m=st.integers(0, 2),
+           r=st.floats(1e-3, 0.999))
+    def test_error_bounds_the_true_error(self, nu, m, r):
+        # the small-beta tail past the old cutoff U (beta near 0) and small r
+        # are inside this domain: both used to leave the error short
+        assume(m <= math.floor(nu - 0.5) and 2.0 * (nu - m) - 1.0 > 0.0)
+        level = HyperbolicLevel(nu, m)
+        if m == 0:
+            profile = build_profile(nu, r, 1e-20)
+            p = profile.probabilities
+            ref, ref_err = float(p.sum() - (p ** 2).sum()), profile.tail_bound
+        else:
+            ref, ref_err = disc_variance_quadrature_lens(level, r)
+        for route in DISC_ROUTES:
+            res = route(level, r)
+            assert res.error_estimate <= QuadratureConfig().tolerance(res.value)
+            assert abs(res.value - ref) <= res.error_estimate + ref_err
+
+    @pytest.mark.parametrize("nu, m", [(2.0, 1), (3.5, 2), (1.51, 1)])
+    @pytest.mark.parametrize("r", [0.02, 0.5, 0.99])
+    def test_both_quadrature_lenses_agree(self, nu, m, r):
+        level = HyperbolicLevel(nu, m)
+        res = variance_hyperbolic(level, r)
+        # the integration-by-parts lens cancels at small r, about 1e-13
+        # relative at r = 0.02, and its error estimate leaves that out
+        for lens in (_lens_direct, _lens_transformed) if r > 0.15 else (_lens_direct,):
+            ref, ref_err = disc_variance_quadrature_lens(level, r, lens)
+            assert abs(res.value - ref) <= res.error_estimate + ref_err
+
+    @pytest.mark.parametrize("nu, m", [(1.0, 0), (0.51, 0), (2.0, 1), (1.51, 1), (3.5, 2),
+                                       (40.0, 2)])
+    @pytest.mark.parametrize("u0", [0.05, 0.5, 2.0])
+    def test_weight_tail_matches_direct_integral(self, nu, m, u0):
+        level = HyperbolicLevel(nu, m)
+        log_tail, _ = variance._weight_tail(level, u0)
+        # in s = sech^2 u, then s = x^(1/beta), which removes the s^(beta-1) endpoint
+        beta = level.beta
+        s0 = 1.0 / math.cosh(u0) ** 2
+        x0 = s0 ** beta
+
+        def integrand(x):
+            s = x ** (1.0 / beta)
+            return special.eval_jacobi(m, 0.0, beta, 2.0 * s - 1.0) ** 2
+
+        body, _ = integrate.quad(integrand, 0.0, x0, epsabs=0.0, epsrel=1e-13, limit=200)
+        ref = 0.5 * (beta / math.pi) ** 2 * body / beta
+        assert math.exp(log_tail) == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_weight_tail_stays_finite_at_large_beta(self, m):
+        # the Gauss rule is formed in a beta-scaled variable; scipy's
+        # roots_jacobi gave nan on the contraction rows at m = 2
+        for nu in (1e3, 1e7, 1e12):
+            log_tail, size = variance._weight_tail(HyperbolicLevel(nu, m), 1e-3)
+            assert math.isfinite(log_tail) and size >= abs(log_tail)
