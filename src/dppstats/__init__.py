@@ -17,7 +17,7 @@ from .kernels import (EuclideanLevel, HyperbolicLevel, f_profile,
                       fock_kernel_sq_weighted, hyperbolic_kernel,
                       hyperbolic_kernel_abs_sq)
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
-from .specfun import jacobi_zero_beta, laguerre, log_pochhammer
+from .specfun import jacobi_zero_beta, laguerre
 from .variance import (ContractionRow, VarianceResult, asymptotic_constant,
                        contraction_check, variance_euclidean_geometric,
                        variance_euclidean_shirai, variance_hyperbolic,
@@ -56,7 +56,6 @@ __all__ = [
     "image_disc",
     "jacobi_zero_beta",
     "laguerre",
-    "log_pochhammer",
     "mobius",
     "sample_counts",
     "variance_euclidean_geometric",

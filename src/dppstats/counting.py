@@ -14,13 +14,11 @@ variance series, and a reproducible Monte Carlo sampler.
 
 A profile is evaluated in one vectorised call of the regularized incomplete
 beta function, p_j = I_{r^2}(j, 2 nu - 1), over a block of indices that
-doubles until the truncation rule stops.  Every profile is checked against
-an independent second form, the negative-binomial tail
-
-    p_j = sum_{k >= j} t_k,   t_1 = b x (1-x)^b,   t_{k+1}/t_k = x (k+b)/(k+1),
-
-with x = r^2 and b = 2 nu - 1, summed from the far end in O(J) work.  A
-disagreement raises :class:`TruncationFailure`.  Both steps together take
+doubles until the truncation rule stops.  The rule is a proof: p_j is the
+tail sum_{k >= j} t_k of a negative-binomial law whose terms have the ratio
+t_{k+1}/t_k = x (k + b)/(k + 1), with x = r^2 and b = 2 nu - 1, so every
+later ratio p_{j+1}/p_j is at most q_J = x max(1, (J + b)/(J + 1)) and the
+tail past J is at most p_J q_J / (1 - q_J).  A profile build takes
 milliseconds even at r = 0.999 for every nu up to 6, where J ~ 3e4.
 """
 
@@ -45,14 +43,8 @@ __all__ = [
     "sample_counts",
 ]
 
-# the two analytic forms of p_j must coincide; see build_profile.  Below the
-# floor a looser check applies to the (numerically irrelevant) deep-tail
-# terms; subnormal terms carry too few significant bits to compare at all.
-_FORM_AGREEMENT_RTOL = 1e-10
-_FORM_CHECK_FLOOR = 1e-30
-_FORM_TAIL_RTOL = 1e-6
-_TAIL_SUM_REL = 1e-18
-_BURN_IN = 8
+# relative rounding allowed for in p_J q_J / (1 - q_J); see build_profile
+_ROUNDING_MARGIN = 1.0 + 1e-10
 _FIRST_BLOCK = 64
 # the largest truncation build_profile may reach
 _HARD_CAP = 100000
@@ -65,9 +57,11 @@ _SAMPLE_BLOCK_UNIFORMS = 2 ** 20
 class BernoulliProfile:
     """Truncated success probabilities p_1..p_J with a tail bound.
 
-    ``tail_bound`` dominates sum_{j > J} p_j via the geometric envelope
-    established at truncation time.  ``probabilities`` is index-aligned so
-    that probabilities[j - 1] == p_j.  Treat instances as immutable.
+    ``tail_bound`` dominates sum_{j > J} p_j: it is p_J q_J / (1 - q_J),
+    inflated by 1e-10 relative for rounding, with q_J the proven bound on
+    every later ratio p_{j+1}/p_j (see :func:`build_profile`).
+    ``probabilities`` is index-aligned so that probabilities[j - 1] == p_j.
+    Treat instances as immutable.
     """
 
     nu: float
@@ -93,71 +87,26 @@ class CountDistribution:
     variance: float
 
 
-def _tail_sum_form(b: float, x: float, n: int) -> np.ndarray:
-    """p_1..p_n as tails of the negative-binomial law, independent of betainc.
-
-    I_x(j, b) = sum_{k >= j} t_k with t_1 = b x (1-x)^b and
-    t_{k+1} / t_k = x (k + b) / (k + 1).  log t_k is a cumulative sum of
-    log x + log1p((b - 1) / (k + 1)), which keeps its absolute error near
-    machine precision out to k ~ 10^5 (lgamma differences lose ~1e-10
-    there).  The sum runs past n until the geometric bound on the omitted
-    terms is below _TAIL_SUM_REL times the smallest normal p_j wanted,
-    and is accumulated from the far end after one common rescaling.
-    """
-    log_t1 = math.log(b) + math.log(x) + b * math.log1p(-x)
-    log_x = math.log(x)
-    m = 2 * n
-    while True:
-        steps = log_x + np.log1p((b - 1.0) / np.arange(2, m + 1))
-        log_t = log_t1 + np.concatenate(([0.0], np.cumsum(steps)))
-        # beyond index m every ratio t_{k+1}/t_k is at most rho
-        rho = x * max(1.0, (m + b) / (m + 1.0))
-        if rho < 1.0:
-            shift = log_t.max()
-            sums = np.cumsum(np.exp(log_t - shift)[::-1])[::-1]
-            with np.errstate(divide="ignore"):
-                log_p = np.log(sums[:n]) + shift
-            log_omitted = log_t[-1] + math.log(rho / (1.0 - rho))
-            log_smallest = max(log_p.min(), math.log(_TINY))
-            if log_omitted < log_smallest + math.log(_TAIL_SUM_REL):
-                return np.exp(log_p)
-        m *= 2
-
-
-def _check_forms(probs: np.ndarray, b: float, x: float) -> None:
-    """Raise TruncationFailure unless probs agrees with _tail_sum_form."""
-    normal = probs >= _TINY
-    if not normal.any():
-        return
-    other = _tail_sum_form(b, x, len(probs))
-    rel = np.zeros_like(probs)
-    rel[normal] = np.abs(other[normal] - probs[normal]) / probs[normal]
-    rtol = np.where(probs > _FORM_CHECK_FLOOR, _FORM_AGREEMENT_RTOL, _FORM_TAIL_RTOL)
-    bad = np.flatnonzero(rel > rtol)
-    if bad.size:
-        i = int(bad[0])
-        raise TruncationFailure(
-            f"success-probability forms disagree at j={i + 1}: "
-            f"{other[i]!r} vs {probs[i]!r} (rel {rel[i]:.2e})")
-
-
 def build_profile(nu: float, r: float, epsilon: float = 1e-12) -> BernoulliProfile:
     """Build the truncated Bernoulli profile for parameters (nu, r).
 
-    Truncates at the first index J >= 8 whose empirical ratio p_J / p_{J-1}
-    is below the geometric envelope q (q = r^2 + 0.01, lowered to
-    (1 + r^2)/2 when that exceeds 1) and whose value makes the geometric
-    tail bound p_J q / (1 - q) smaller than epsilon.
+    Truncates at the first index J with q_J < 1 whose tail bound
+
+        p_J q_J / (1 - q_J) * (1 + 1e-10),   q_J = r^2 max(1, (J + b)/(J + 1)),
+
+    is below epsilon, with b = 2 nu - 1, and returns that bound as
+    ``tail_bound``.  For j >= J every ratio p_{j+1}/p_j is at most q_J
+    (see the module docstring), so sum_{j > J} p_j <= p_J q_J / (1 - q_J);
+    the factor 1 + 1e-10 covers the rounding of p_J and q_J.
 
     p_1..p_n come from one vectorised regularized incomplete beta call,
     with n = 64 doubled (up to ``_HARD_CAP`` = 100000) until the rule
-    above stops.  The kept p_1..p_J are then checked against the
-    negative-binomial tail sums of :func:`_tail_sum_form`, an O(J) second
-    form; they must agree to 1e-10 relative (1e-6 below 1e-30).  This reaches J ~ 3e4 at r = 0.999
-    for every nu up to 6 in milliseconds.
+    above stops.
 
     Raises :class:`TruncationFailure` if ``_HARD_CAP`` indices do not
-    suffice or if the two forms disagree.
+    suffice, or if the rule would stop on a subnormal p_J: when the
+    threshold epsilon (1 - q_J)/q_J is below the smallest normal double, p_J
+    carries too few significant bits to bound the tail relative to it.
     """
     if not 0.5 < nu < math.inf:
         raise DomainError(f"nu must be finite and exceed 1/2, got {nu}")
@@ -165,26 +114,30 @@ def build_profile(nu: float, r: float, epsilon: float = 1e-12) -> BernoulliProfi
         raise DomainError(f"r must lie in (0, 1), got {r}")
     if not 0.0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
-    q = min(r * r + 0.01, 0.5 + 0.5 * r * r)   # strictly below 1, above lim p_{j+1}/p_j
-    # stopping at p_J below this makes the geometric tail p_J q/(1-q) < epsilon
-    p_stop = epsilon * (1.0 - q) / q
+    x = r * r
     b = 2.0 * nu - 1.0
     n = min(_FIRST_BLOCK, _HARD_CAP)
     while True:
-        probs = special.betainc(np.arange(1, n + 1), b, r * r)
-        tail = probs[_BURN_IN - 1:]
-        stops = np.flatnonzero((tail < p_stop) & (tail <= probs[_BURN_IN - 2:-1] * q))
+        j = np.arange(1, n + 1)
+        probs = special.betainc(j, b, x)
+        q = x * np.maximum(1.0, (j + b) / (j + 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bounds = probs * q / (1.0 - q) * _ROUNDING_MARGIN
+        stops = np.flatnonzero((q < 1.0) & (bounds < epsilon))
         if stops.size:
-            probs = probs[:_BURN_IN + int(stops[0])]
+            J = int(stops[0]) + 1
             break
         if n >= _HARD_CAP:
             raise TruncationFailure(
                 f"tail bound {epsilon} not reached within {_HARD_CAP} terms "
                 f"(nu={nu}, r={r})")
         n = min(2 * n, _HARD_CAP)
-    _check_forms(probs, b, r * r)
-    return BernoulliProfile(nu=nu, r=r, probabilities=probs,
-                            tail_bound=float(probs[-1]) * q / (1.0 - q))
+    if epsilon * (1.0 - q[J - 1]) < _TINY * q[J - 1]:
+        raise TruncationFailure(
+            f"tail bound {epsilon} needs p_J below the smallest normal double "
+            f"(nu={nu}, r={r})")
+    return BernoulliProfile(nu=nu, r=r, probabilities=probs[:J],
+                            tail_bound=float(bounds[J - 1]))
 
 
 def generating_function(profile: BernoulliProfile, s: float) -> float:

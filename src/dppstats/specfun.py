@@ -1,5 +1,4 @@
-"""Classical special functions: Laguerre and Jacobi polynomials and the
-log-scale Pochhammer symbol.
+"""Classical special functions: Laguerre and Jacobi polynomials.
 
 Polynomials are evaluated by forward three-term recurrences rather than
 coefficient expansion; the recurrences stay stable for the large second
@@ -9,8 +8,6 @@ All functions are pure and accept scalars or ndarrays where noted.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .exceptions import DomainError
@@ -18,7 +15,6 @@ from .exceptions import DomainError
 __all__ = [
     "laguerre",
     "jacobi_zero_beta",
-    "log_pochhammer",
 ]
 
 
@@ -76,14 +72,3 @@ def _jacobi_zero_beta_gap(m: int, beta: float, y):
             prev, p = p, (c2 * p - c3 * prev) / c1
     return p
 
-
-def log_pochhammer(a: float, j: int) -> float:
-    """log of the rising factorial (a)_j for a > 0, overflow-free.
-
-    Computed as lgamma(a + j) - lgamma(a).
-    """
-    if j < 0 or j != int(j):
-        raise DomainError(f"index must be a non-negative integer, got {j}")
-    if a <= 0.0:
-        raise DomainError(f"log-scale rising factorial needs a > 0, got {a}")
-    return math.lgamma(a + j) - math.lgamma(a)

@@ -1,10 +1,11 @@
 """Reference forms that only the tests use.
 
-Direct forms of quantities the library computes another way: the rising
-factorial as a product, the incomplete beta integral by adaptive
-quadrature, and its ratio to the complete integral through scipy's
-regularized incomplete beta function.  They serve as oracles for
-``log_pochhammer`` and for the success probabilities of the m = 0 count law.
+Direct forms of quantities the library computes another way: the incomplete
+beta integral by adaptive quadrature, its ratio to the complete integral
+through scipy's regularized incomplete beta function, and the success
+probabilities of the m = 0 count law as negative-binomial tail sums, the
+second form that every count-law profile is held to.
+
 The planar count variances have two closed references: the Ginibre form at
 n = 0 and Shirai's sector series at every level.
 
@@ -27,19 +28,6 @@ from dppstats import (DEFAULT_QUAD, DomainError, LensIntegralResult,
                       QuadratureConfig, QuadratureFailure)
 from dppstats.quadrature import integrate_interval, integrate_rows
 from dppstats.variance import _radial_weight, _weight_tail
-
-
-def pochhammer(a: float, j: int) -> float:
-    """Rising factorial (a)_j = a (a+1) ... (a+j-1), with (a)_0 = 1.
-
-    Overflows for large j; use ``log_pochhammer`` past j ~ 150.
-    """
-    if j < 0 or j != int(j):
-        raise DomainError(f"index must be a non-negative integer, got {j}")
-    out = 1.0
-    for k in range(int(j)):
-        out *= a + k
-    return out
 
 
 def incomplete_beta(r: float, j: int, b: float) -> float:
@@ -87,6 +75,80 @@ def incomplete_beta_ratio(r: float, j: int, b: float) -> float:
     if b <= 0.0:
         raise DomainError(f"second parameter must be positive, got {b}")
     return float(special.betainc(int(j), b, r * r))
+
+
+# tail_sum_form sums until the omitted terms are below this share of the
+# smallest normal p_j it returns
+_TAIL_SUM_REL = 1e-18
+_TINY = np.finfo(float).tiny
+
+
+def tail_sum_form(b: float, x: float, n: int) -> np.ndarray:
+    """p_1..p_n as tails of the negative-binomial law, independent of betainc.
+
+    I_x(j, b) = sum_{k >= j} t_k with t_1 = b x (1-x)^b and
+    t_{k+1} / t_k = x (k + b) / (k + 1).  log t_k is a cumulative sum of
+    log x + log1p((b - 1) / (k + 1)), which keeps its absolute error near
+    machine precision out to k ~ 10^5 (lgamma differences lose ~1e-10
+    there).  The sum runs past n until the geometric bound on the omitted
+    terms is below _TAIL_SUM_REL times the smallest normal p_j wanted,
+    and is accumulated from the far end after one common rescaling.
+    """
+    log_t1 = math.log(b) + math.log(x) + b * math.log1p(-x)
+    log_x = math.log(x)
+    m = 2 * n
+    while True:
+        steps = log_x + np.log1p((b - 1.0) / np.arange(2, m + 1))
+        log_t = log_t1 + np.concatenate(([0.0], np.cumsum(steps)))
+        # beyond index m every ratio t_{k+1}/t_k is at most rho
+        rho = x * max(1.0, (m + b) / (m + 1.0))
+        if rho < 1.0:
+            shift = log_t.max()
+            sums = np.cumsum(np.exp(log_t - shift)[::-1])[::-1]
+            with np.errstate(divide="ignore"):
+                log_p = np.log(sums[:n]) + shift
+            log_omitted = log_t[-1] + math.log(rho / (1.0 - rho))
+            log_smallest = max(log_p.min(), math.log(_TINY))
+            if log_omitted < log_smallest + math.log(_TAIL_SUM_REL):
+                return np.exp(log_p)
+        m *= 2
+
+
+def tail_sum_mismatch(probs: np.ndarray, b: float, x: float):
+    """(j, oracle p_j, profile p_j) at the first j that misses
+    :func:`tail_sum_form`, or None.
+
+    The profile's tolerance: 1e-10 relative, 1e-6 below 1e-30; subnormal
+    p_j carry too few significant bits to compare at all.
+    """
+    other = tail_sum_form(b, x, len(probs))
+    normal = probs >= _TINY
+    rel = np.zeros_like(probs)
+    rel[normal] = np.abs(other[normal] - probs[normal]) / probs[normal]
+    bad = np.flatnonzero(rel > np.where(probs > 1e-30, 1e-10, 1e-6))
+    if bad.size:
+        i = int(bad[0])
+        return i + 1, float(other[i]), float(probs[i])
+    return None
+
+
+def profile_tail(b: float, x: float, J: int) -> float:
+    """sum_{j > J} p_j from :func:`tail_sum_form`.
+
+    The terms are summed to an index n that doubles until the geometric
+    rest past n, at most p_n rho/(1 - rho) with rho = x max(1, (n + b)/(n + 1)),
+    is below 1e-15 of the sum; that rest is included, so the value is an
+    upper bound up to rounding.
+    """
+    n = 2 * J + 64
+    while True:
+        rho = x * max(1.0, (n + b) / (n + 1.0))
+        if rho < 1.0:
+            p = tail_sum_form(b, x, n)[J:]
+            total, rest = float(p.sum()), float(p[-1]) * rho / (1.0 - rho)
+            if rest <= 1e-15 * total:
+                return total + rest
+        n *= 2
 
 
 def ginibre_variance(r: float) -> float:

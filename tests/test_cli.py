@@ -4,7 +4,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from dppstats import counting, quadrature
+from dppstats import quadrature
 from dppstats.cli import cli
 
 
@@ -171,14 +171,18 @@ class TestDistributionCommand:
         assert result.exit_code == 0
         assert "# truncation=" in result.output
 
-    def test_form_disagreement_exits_3(self, runner, monkeypatch):
-        tail_sum_form = counting._tail_sum_form
-        monkeypatch.setattr(counting, "_tail_sum_form",
-                            lambda b, x, n: tail_sum_form(b, x, n) * (1.0 + 1e-9))
-        result = runner.invoke(cli, ["distribution", "--nu", "1.5", "--r", "0.7"])
+    def test_large_nu_exits_cleanly(self, runner):
+        # q_J >= 1 up to J = 2548 here, so the stop needs the ratio bound at J
+        result = runner.invoke(cli, ["distribution", "--nu", "300", "--r", "0.9"])
+        assert result.exit_code == 0
+        assert "# truncation=3504" in result.output
+
+    def test_subnormal_epsilon_exits_3(self, runner):
+        result = runner.invoke(cli, ["distribution", "--nu", "1", "--r", "0.5",
+                                     "--epsilon", "1e-310"])
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
-        assert "forms disagree" in result.output
+        assert "smallest normal" in result.output
 
 
 class TestContractionCommand:

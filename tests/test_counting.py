@@ -9,10 +9,11 @@ from scipy import special
 
 from dppstats import (BernoulliProfile, DomainError, HyperbolicLevel,
                       TruncationFailure, binomial_moment, build_profile,
-                      distribution, generating_function, log_pochhammer,
-                      sample_counts, variance_hyperbolic, variance_series)
+                      distribution, generating_function, sample_counts,
+                      variance_hyperbolic, variance_series)
 from dppstats import counting
-from oracles import incomplete_beta, incomplete_beta_ratio
+from oracles import (incomplete_beta, incomplete_beta_ratio, profile_tail,
+                     tail_sum_mismatch)
 
 
 def pmf_binomial_moment(law, k):
@@ -21,21 +22,31 @@ def pmf_binomial_moment(law, k):
 
 
 def quadrature_form(nu, r, j):
-    """p_j = (2 nu - 1) (2 nu)_{j-1} / (j-1)! * B_r(j, 2 nu - 1) by quadrature."""
+    """p_j = (2 nu - 1) (2 nu)_{j-1} / (j-1)! * B_r(j, 2 nu - 1) by quadrature.
+
+    The prefactor is 1 / B(j, 2 nu - 1).
+    """
     b = 2.0 * nu - 1.0
-    log_prefactor = math.log(b) + log_pochhammer(2.0 * nu, j - 1) - math.lgamma(j)
-    return math.exp(log_prefactor) * incomplete_beta(r, j, b)
+    return math.exp(-special.betaln(j, b)) * incomplete_beta(r, j, b)
 
 
 def scalar_profile(nu, r, epsilon=1e-12):
     """The documented truncation rule, one incomplete_beta_ratio call per term."""
-    q = min(r * r + 0.01, 0.5 + 0.5 * r * r)
-    p_stop = epsilon * (1.0 - q) / q
+    x, b = r * r, 2.0 * nu - 1.0
     probs = []
     while True:
-        probs.append(incomplete_beta_ratio(r, len(probs) + 1, 2.0 * nu - 1.0))
-        if len(probs) >= 8 and probs[-1] < p_stop and probs[-1] <= probs[-2] * q:
-            return np.array(probs), probs[-1] * q / (1.0 - q)
+        J = len(probs) + 1
+        probs.append(incomplete_beta_ratio(r, J, b))
+        q = x * max(1.0, (J + b) / (J + 1.0))
+        if q < 1.0:
+            bound = probs[-1] * q / (1.0 - q) * (1.0 + 1e-10)
+            if bound < epsilon:
+                return np.array(probs), bound
+
+
+# from nu just above 1/2 to 6 and r from 1e-3 to 0.999
+PROFILE_GRID = [(0.5001, 0.3), (1.5, 0.7), (2.0, 1e-3), (3.0, 0.9), (6.0, 0.6),
+                (1.0, 0.99), (0.75, 0.995), (1.0, 0.999), (6.0, 0.995)]
 
 
 class TestBuildProfile:
@@ -60,10 +71,17 @@ class TestBuildProfile:
             profile = build_profile(nu, r, epsilon=1e-12)
             assert profile.tail_bound < 1e-12
 
+    def test_ground_case_tail_bound_is_the_exact_tail(self):
+        # at nu = 1 every ratio p_{j+1}/p_j is r^2, so the bound is sharp
+        for r in [0.3, 0.5, 0.9]:
+            profile = build_profile(1.0, r)
+            exact = r ** (2 * profile.truncation + 2) / (1.0 - r * r)
+            assert exact <= profile.tail_bound <= exact * (1.0 + 1e-9)
+
     def test_monotone_beyond_burn_in(self):
         profile = build_profile(3.0, 0.9)
         p = profile.probabilities
-        assert np.all(np.diff(p[7:]) <= 0)
+        assert np.all(np.diff(p) <= 0)
 
     def test_probability_forms_agree(self):
         for nu in [0.75, 1.0, 1.5, 3.0]:
@@ -82,8 +100,7 @@ class TestBuildProfile:
         assert quadrature_form(1.0, 0.999, 1) == pytest.approx(ratio, rel=1e-10)
 
     def test_matches_scalar_ratio_loop_bit_for_bit(self):
-        for nu, r in [(0.5001, 0.3), (1.5, 0.7), (2.0, 1e-3), (3.0, 0.9),
-                      (6.0, 0.6), (1.0, 0.99), (0.75, 0.995)]:
+        for nu, r in PROFILE_GRID:
             probs, tail = scalar_profile(nu, r)
             profile = build_profile(nu, r)
             assert profile.truncation == len(probs)
@@ -97,20 +114,42 @@ class TestBuildProfile:
         assert profile.tail_bound < 1e-12
         assert profile.probabilities[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_form_disagreement_raises(self, monkeypatch):
-        tail_sum_form = counting._tail_sum_form
-        monkeypatch.setattr(counting, "_tail_sum_form",
-                            lambda b, x, n: tail_sum_form(b, x, n) * (1.0 + 1e-9))
-        with pytest.raises(TruncationFailure, match="forms disagree"):
-            build_profile(1.5, 0.7)
+    @pytest.mark.parametrize("nu, r", PROFILE_GRID + [
+        (nu, r) for nu in (0.75, 1.0, 1.5, 3.0) for r in (0.3, 0.7, 0.95)])
+    def test_matches_tail_sum_oracle(self, nu, r):
+        profile = build_profile(nu, r)
+        assert tail_sum_mismatch(profile.probabilities, 2.0 * nu - 1.0, r * r) is None
 
     @settings(max_examples=40, deadline=None)
-    @given(nu=st.floats(0.5001, 6.0), r=st.floats(0.01, 0.999))
+    @given(nu=st.floats(0.5001, 50.0), r=st.floats(0.01, 0.999))
     def test_tail_bound_dominates_next_terms(self, nu, r):
+        # the whole tail past J, summed through the oracle
         profile = build_profile(nu, r)
-        J = profile.truncation
-        beyond = special.betainc(np.arange(J + 1, J + 2001), 2.0 * nu - 1.0, r * r)
-        assert beyond.sum() <= profile.tail_bound
+        assert profile.tail_bound <= 1e-12
+        tail = profile_tail(2.0 * nu - 1.0, r * r, profile.truncation)
+        assert tail <= profile.tail_bound
+
+    @pytest.mark.parametrize("nu, r, J", [(6.0, 0.6, 47), (50.0, 0.5, 94),
+                                          (300.0, 0.9, 3504)])
+    def test_large_nu_stops_on_a_normal_term(self, nu, r, J):
+        # at large nu the ratio p_{j+1}/p_j stays near r^2 (j + 2 nu - 1)/(j + 1)
+        # well past r^2: an envelope below it stops late, on rounding noise
+        profile = build_profile(nu, r)
+        assert profile.truncation == J
+        assert profile.probabilities[-1] >= np.finfo(float).tiny
+        assert profile.tail_bound <= 1e-12
+        assert profile_tail(2.0 * nu - 1.0, r * r, J) <= profile.tail_bound
+
+    def test_subnormal_threshold_raises(self):
+        # stopping needs p_J < epsilon (1 - q_J)/q_J = 3e-310, a subnormal
+        with pytest.raises(TruncationFailure, match="smallest normal"):
+            build_profile(1.0, 0.5, epsilon=1e-310)
+
+    def test_subnormal_first_term_is_returned(self):
+        # p_1 = 3e-320 is subnormal, but the threshold it is held to is not
+        profile = build_profile(2.0, 1e-160)
+        assert profile.truncation == 1
+        assert 0.0 < profile.probabilities[0] < np.finfo(float).tiny
 
     def test_truncation_failure(self, monkeypatch):
         monkeypatch.setattr(counting, "_HARD_CAP", 5)

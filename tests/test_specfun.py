@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from dppstats import DomainError, jacobi_zero_beta, laguerre, log_pochhammer
-from oracles import incomplete_beta, incomplete_beta_ratio, pochhammer
+from dppstats import DomainError, jacobi_zero_beta, laguerre
+from oracles import incomplete_beta, incomplete_beta_ratio
 
 
 def simpson(f, a, b, n=200001):
@@ -76,38 +76,6 @@ class TestJacobiZeroBeta:
             jacobi_zero_beta(2, -1.0, 0.0)
         with pytest.raises(DomainError):
             jacobi_zero_beta(-2, 1.0, 0.0)
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(2.0, 0) == 1.0
-
-    def test_hand_values(self):
-        assert pochhammer(2.0, 3) == 24.0
-        assert pochhammer(0.5, 2) == 0.75
-
-    def test_shift_identity(self):
-        for a in [0.3, 2.0, 11.5]:
-            for j in range(0, 20):
-                assert pochhammer(a, j + 1) == pytest.approx(
-                    pochhammer(a, j) * (a + j), rel=1e-14)
-
-    def test_log_variant_matches_product(self):
-        for a in [0.5, 2.0, 7.25]:
-            for j in [0, 1, 5, 40]:
-                assert log_pochhammer(a, j) == pytest.approx(
-                    math.log(pochhammer(a, j)), rel=1e-12, abs=1e-12)
-
-    def test_log_variant_beyond_overflow(self):
-        # (2 nu)_{j-1}/(j-1)! must be formable past j ~ 150
-        val = log_pochhammer(4.0, 500) - math.lgamma(500)
-        assert math.isfinite(val)
-        assert val == pytest.approx(
-            math.lgamma(504) - math.lgamma(4) - math.lgamma(500), rel=1e-13)
-
-    def test_log_variant_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            log_pochhammer(0.0, 3)
 
 
 class TestIncompleteBeta:
