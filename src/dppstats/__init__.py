@@ -5,8 +5,8 @@ asymptotics, and the exact Poisson-binomial count law of the lowest disc level.
 """
 
 from .counting import (BernoulliProfile, CountDistribution, binomial_moment,
-                       build_profile, distribution, generating_function,
-                       sample_counts, variance_series)
+                       binomial_moments, build_profile, distribution,
+                       generating_function, sample_counts, variance_series)
 from .exceptions import DomainError, QuadratureFailure, TruncationFailure
 from .geometry import (ImageDisc, LensIntegralResult,
                        euclidean_lens_complement_area, hyperbolic_distance,
@@ -41,6 +41,7 @@ __all__ = [
     "VarianceResult",
     "asymptotic_constant",
     "binomial_moment",
+    "binomial_moments",
     "build_profile",
     "contraction_check",
     "distribution",

@@ -12,14 +12,26 @@ tail bounds, evaluates the probability generating product, the exact
 Poisson-binomial pmf, binomial moments by a prefix-sum recurrence, the
 variance series, and a reproducible Monte Carlo sampler.
 
-A profile is evaluated in one vectorised call of the regularized incomplete
-beta function, p_j = I_{r^2}(j, 2 nu - 1), over a block of indices that
-doubles until the truncation rule stops.  The rule is a proof: p_j is the
+A profile is evaluated in vectorised calls of the regularized incomplete
+beta function, p_j = I_{r^2}(j, 2 nu - 1), over blocks of indices that
+double until the truncation rule stops.  The rule is a proof: p_j is the
 tail sum_{k >= j} t_k of a negative-binomial law whose terms have the ratio
 t_{k+1}/t_k = x (k + b)/(k + 1), with x = r^2 and b = 2 nu - 1, so every
 later ratio p_{j+1}/p_j is at most q_J = x max(1, (J + b)/(J + 1)) and the
-tail past J is at most p_J q_J / (1 - q_J).  A profile build takes
-milliseconds even at r = 0.999 for every nu up to 6, where J ~ 3e4.
+tail past J is at most p_J q_J / (1 - q_J).  Each block evaluates only the
+indices it adds.  A profile build takes milliseconds even at
+r = 0.999 for every nu up to 6, where J ~ 3e4, and J may reach 2^18.
+
+The pmf is a product tree.  The J factors (1 - p_j + p_j z) are cut into
+blocks of L = max(32, isqrt(2J)); one recurrence over L steps expands all
+blocks at once, and neighbouring block polynomials are then multiplied
+pairwise by direct convolution, their exact zeros at both ends trimmed.
+Every term is a product and sum of non-negative numbers, so each pmf entry
+that is a normal double keeps a relative error of order J eps; no FFT is
+used, whose absolute error of eps times the largest entry would swamp the
+small entries.  The sampler draws the same Philox stream as
+``Generator.random`` and compares the raw 53-bit integers against integer
+thresholds, which decides every Bernoulli draw exactly as u < p_j would.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ __all__ = [
     "generating_function",
     "distribution",
     "binomial_moment",
+    "binomial_moments",
     "variance_series",
     "sample_counts",
 ]
@@ -47,10 +60,12 @@ __all__ = [
 _ROUNDING_MARGIN = 1.0 + 1e-10
 _FIRST_BLOCK = 64
 # the largest truncation build_profile may reach
-_HARD_CAP = 100000
+_HARD_CAP = 2 ** 18
 _TINY = np.finfo(float).tiny
+# the least number of Bernoulli factors in one block of distribution()
+_PMF_BLOCK = 32
 # sample_counts draws at most this many uniforms (8 bytes each) per block
-_SAMPLE_BLOCK_UNIFORMS = 2 ** 20
+_SAMPLE_BLOCK_UNIFORMS = 2 ** 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +114,9 @@ def build_profile(nu: float, r: float, epsilon: float = 1e-12) -> BernoulliProfi
     (see the module docstring), so sum_{j > J} p_j <= p_J q_J / (1 - q_J);
     the factor 1 + 1e-10 covers the rounding of p_J and q_J.
 
-    p_1..p_n come from one vectorised regularized incomplete beta call,
-    with n = 64 doubled (up to ``_HARD_CAP`` = 100000) until the rule
-    above stops.
+    p_1..p_n come from vectorised regularized incomplete beta calls, with
+    n = 64 doubled (up to ``_HARD_CAP`` = 2^18 = 262144) until the rule
+    above stops; each call evaluates only the indices the doubling adds.
 
     Raises :class:`TruncationFailure` if ``_HARD_CAP`` indices do not
     suffice, or if the rule would stop on a subnormal p_J: when the
@@ -116,28 +131,30 @@ def build_profile(nu: float, r: float, epsilon: float = 1e-12) -> BernoulliProfi
         raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
     x = r * r
     b = 2.0 * nu - 1.0
-    n = min(_FIRST_BLOCK, _HARD_CAP)
+    blocks, start, n = [], 0, min(_FIRST_BLOCK, _HARD_CAP)
     while True:
-        j = np.arange(1, n + 1)
+        j = np.arange(start + 1, n + 1)
         probs = special.betainc(j, b, x)
+        blocks.append(probs)
         q = x * np.maximum(1.0, (j + b) / (j + 1.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             bounds = probs * q / (1.0 - q) * _ROUNDING_MARGIN
         stops = np.flatnonzero((q < 1.0) & (bounds < epsilon))
         if stops.size:
-            J = int(stops[0]) + 1
+            i = int(stops[0])
             break
         if n >= _HARD_CAP:
             raise TruncationFailure(
                 f"tail bound {epsilon} not reached within {_HARD_CAP} terms "
                 f"(nu={nu}, r={r})")
-        n = min(2 * n, _HARD_CAP)
-    if epsilon * (1.0 - q[J - 1]) < _TINY * q[J - 1]:
+        start, n = n, min(2 * n, _HARD_CAP)
+    if epsilon * (1.0 - q[i]) < _TINY * q[i]:
         raise TruncationFailure(
             f"tail bound {epsilon} needs p_J below the smallest normal double "
             f"(nu={nu}, r={r})")
-    return BernoulliProfile(nu=nu, r=r, probabilities=probs[:J],
-                            tail_bound=float(bounds[J - 1]))
+    return BernoulliProfile(nu=nu, r=r,
+                            probabilities=np.concatenate(blocks)[:start + i + 1],
+                            tail_bound=float(bounds[i]))
 
 
 def generating_function(profile: BernoulliProfile, s: float) -> float:
@@ -151,39 +168,79 @@ def generating_function(profile: BernoulliProfile, s: float) -> float:
     return float(math.exp(np.log1p(s * profile.probabilities).sum()))
 
 
+def _trimmed(poly: np.ndarray, offset: int):
+    """``poly`` without its exact zeros at both ends, and its new offset."""
+    nz = np.flatnonzero(poly)
+    return poly[nz[0]:nz[-1] + 1], offset + int(nz[0])
+
+
 def distribution(profile: BernoulliProfile) -> CountDistribution:
     """Exact Poisson-binomial pmf of the count over {0, ..., J}.
 
-    Sequential convolution of the J Bernoulli factors; the mean and
-    variance fields carry sum p_j and sum p_j (1 - p_j).
+    The product of the J factors (1 - p_j) + p_j z, as a product tree: the
+    factors are cut into blocks of L = max(32, isqrt(2J)), the last padded
+    with p = 0 (the factor 1), and all blocks are expanded together by the
+    sequential recurrence, one vector step per factor.  The block
+    polynomials are then multiplied pairwise by direct convolution until
+    one is left, trimming exact zeros at both ends after each product.
+    All terms are non-negative, so every entry at or above the smallest
+    normal double is within a few J eps relative of the exact product of
+    the rounded p_j; trimming changes no value.  For J <= 32 this is the
+    sequential recurrence itself.  The mean and variance fields carry
+    sum p_j and sum p_j (1 - p_j).
     """
-    pmf = np.array([1.0])
-    for p in profile.probabilities:
-        nxt = np.zeros(len(pmf) + 1)
-        nxt[:-1] = pmf * (1.0 - p)
-        nxt[1:] += pmf * p
-        pmf = nxt
     p = profile.probabilities
+    J = p.size
+    L = max(_PMF_BLOCK, math.isqrt(2 * J))
+    nb = max(1, -(-J // L))
+    probs = np.zeros(nb * L)                   # p = 0 pads: the factor [1, 0]
+    probs[:J] = p
+    probs = probs.reshape(nb, L).T.copy()
+    # column k holds the polynomial of block k, so each step is contiguous
+    cols = np.zeros((L + 1, nb))
+    cols[0] = 1.0
+    for i in range(L):                         # the Bernoulli recurrence, per block
+        head = cols[:i + 1]
+        up = head * probs[i]
+        head *= 1.0 - probs[i]
+        cols[1:i + 2] += up
+    polys = [_trimmed(col, 0) for col in cols.T]
+    while len(polys) > 1:                      # pairwise product tree
+        merged = [_trimmed(np.convolve(a, b), oa + ob)
+                  for (a, oa), (b, ob) in zip(polys[0::2], polys[1::2])]
+        polys = merged + polys[len(merged) * 2:]
+    poly, offset = polys[0]
+    pmf = np.zeros(J + 1)
+    pmf[offset:offset + poly.size] = poly
     return CountDistribution(pmf=pmf, mean=float(p.sum()),
                              variance=float((p * (1.0 - p)).sum()))
 
 
-def binomial_moment(profile: BernoulliProfile, k: int) -> float:
-    """k-th binomial moment E C(N_r, k) of the count.
+def binomial_moments(profile: BernoulliProfile, k: int) -> np.ndarray:
+    """Binomial moments E C(N_r, l) of the count for l = 1..k, as an array.
 
-    For a sum of independent Bernoulli variables E C(N_r, k) is the
-    elementary symmetric polynomial e_k of the p_j.  Over the prefixes of
+    For a sum of independent Bernoulli variables E C(N_r, l) is the
+    elementary symmetric polynomial e_l of the p_j.  Over the prefixes of
     the profile, e_l(p_1..p_j) = e_l(p_1..p_{j-1}) + p_j e_{l-1}(p_1..p_{j-1}):
-    a cumulative sum of positive terms per order, O(kJ), that never cancels.
+    one cumulative sum of positive terms per order, O(kJ) in all, that
+    never cancels.  Orders past J are 0.
     """
     if k < 1 or k != int(k):
         raise DomainError(f"k must be a positive integer, got {k}")
     p = profile.probabilities
+    moments = np.zeros(int(k))
     e = np.ones(p.size + 1)                    # e_0 over the prefixes
-    for _ in range(min(int(k), p.size + 1)):   # past order J every e_k is 0
+    for order in range(min(int(k), p.size)):
         np.cumsum(p * e[:-1], out=e[1:])
         e[0] = 0.0
-    return float(e[-1])
+        moments[order] = e[-1]
+    return moments
+
+
+def binomial_moment(profile: BernoulliProfile, k: int) -> float:
+    """k-th binomial moment E C(N_r, k): the last entry of :func:`binomial_moments`."""
+    # e_{J+1} is already 0, so no higher order needs its own pass
+    return float(binomial_moments(profile, min(k, profile.truncation + 1))[-1])
 
 
 def variance_series(nu: float, r: float, epsilon: float = 1e-12) -> float:
@@ -204,8 +261,11 @@ def sample_counts(profile: BernoulliProfile, seed: int, n_samples: int,
     Driven by the counter-based Philox generator keyed by ``seed``; draw i
     consumes the uniforms [i*J, (i+1)*J) of the stream, so results are
     bit-identical across runs, chunk sizes and platforms, and a parallel
-    driver can reproduce any draw by jumping the counter.  Each block holds
-    at most ``chunk`` draws and about 2^20 uniforms (8 MB), whichever is
+    driver can reproduce any draw by jumping the counter.  The uniform
+    u = (w >> 11) 2^-53 of a raw 64-bit word w is never formed: u < p_j
+    holds exactly when the integer w >> 11 is below ceil(p_j 2^53), so the
+    histogram equals that of ``Generator.random() < p``.  Each block holds
+    at most ``chunk`` draws and about 2^18 uniforms (2 MB), whichever is
     fewer.  Returns integer counts over {0, ..., J}.
     """
     if n_samples < 1:
@@ -215,13 +275,15 @@ def sample_counts(profile: BernoulliProfile, seed: int, n_samples: int,
     p = profile.probabilities
     J = len(p)
     rows = max(1, min(chunk, _SAMPLE_BLOCK_UNIFORMS // max(J, 1)))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    thresholds = np.ceil(np.ldexp(p, 53)).astype(np.uint64)
+    bits = np.random.Philox(np.random.SeedSequence(int(seed)))
     hist = np.zeros(J + 1, dtype=np.int64)
     done = 0
     while done < n_samples:
         take = min(rows, n_samples - done)
-        uniforms = rng.random((take, J))
-        counts = (uniforms < p).sum(axis=1)
+        raw = bits.random_raw(take * J)
+        raw >>= np.uint64(11)
+        counts = np.count_nonzero(raw.reshape(take, J) < thresholds, axis=1)
         hist += np.bincount(counts, minlength=J + 1)
         done += take
     return hist

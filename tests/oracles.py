@@ -4,7 +4,9 @@ Direct forms of quantities the library computes another way: the incomplete
 beta integral by adaptive quadrature, its ratio to the complete integral
 through scipy's regularized incomplete beta function, and the success
 probabilities of the m = 0 count law as negative-binomial tail sums, the
-second form that every count-law profile is held to.
+second form that every count-law profile is held to.  The count law's pmf
+and sampler have their sequential forms here: the Bernoulli recurrence one
+factor at a time, and the comparison of ``Generator.random()`` against p.
 
 The planar count variances have two closed references: the Ginibre form at
 n = 0 and Shirai's sector series at every level.
@@ -149,6 +151,33 @@ def profile_tail(b: float, x: float, J: int) -> float:
             if rest <= 1e-15 * total:
                 return total + rest
         n *= 2
+
+
+def sequential_pmf(probs: np.ndarray) -> np.ndarray:
+    """The Poisson-binomial pmf by the recurrence over one factor at a time."""
+    pmf = np.array([1.0])
+    for p in probs:
+        nxt = np.zeros(len(pmf) + 1)
+        nxt[:-1] = pmf * (1.0 - p)
+        nxt[1:] += pmf * p
+        pmf = nxt
+    return pmf
+
+
+def uniform_histogram(probs: np.ndarray, seed: int, n_samples: int,
+                      chunk: int) -> np.ndarray:
+    """Histogram of draws sum_j [u_j < p_j] with the uniforms of the
+    ``seed``-keyed Philox ``Generator.random()``, ``chunk`` draws at a time."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    J = len(probs)
+    hist = np.zeros(J + 1, dtype=np.int64)
+    done = 0
+    while done < n_samples:
+        take = min(chunk, n_samples - done)
+        counts = (rng.random((take, J)) < probs).sum(axis=1)
+        hist += np.bincount(counts, minlength=J + 1)
+        done += take
+    return hist
 
 
 def ginibre_variance(r: float) -> float:

@@ -3,17 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
 from dppstats import (BernoulliProfile, DomainError, HyperbolicLevel,
-                      TruncationFailure, binomial_moment, build_profile,
-                      distribution, generating_function, sample_counts,
-                      variance_hyperbolic, variance_series)
+                      TruncationFailure, binomial_moment, binomial_moments,
+                      build_profile, distribution, generating_function,
+                      sample_counts, variance_hyperbolic, variance_series)
 from dppstats import counting
 from oracles import (incomplete_beta, incomplete_beta_ratio, profile_tail,
-                     tail_sum_mismatch)
+                     sequential_pmf, tail_sum_mismatch, uniform_histogram)
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
 
 
 def pmf_binomial_moment(law, k):
@@ -151,6 +154,37 @@ class TestBuildProfile:
         assert profile.truncation == 1
         assert 0.0 < profile.probabilities[0] < np.finfo(float).tiny
 
+    def test_each_index_is_evaluated_once(self, monkeypatch):
+        requested = []
+        betainc = special.betainc
+
+        def recording(j, b, x):
+            requested.append(np.array(j))
+            return betainc(j, b, x)
+
+        monkeypatch.setattr(special, "betainc", recording)
+        profile = build_profile(1.0, 0.999)
+        assert len(requested) > 1              # the build doubled its block
+        indices = np.concatenate(requested)
+        assert np.array_equal(indices, np.arange(1, indices.size + 1))
+        assert indices.size >= profile.truncation
+
+    def test_truncation_beyond_one_hundred_thousand(self):
+        # J = 180 732 at (1, 0.9999); Var = r^2 / (1 - r^4) at nu = 1
+        r = 0.9999
+        profile = build_profile(1.0, r)
+        J = profile.truncation
+        assert 100000 < J <= 2 ** 18
+        law = distribution(profile)
+        ns = np.arange(J + 1)
+        assert abs(float(law.pmf.sum()) - 1.0) <= J * EPS
+        mean = float(ns @ law.pmf)
+        var = float(((ns - mean) ** 2) @ law.pmf)
+        exact = r * r / (1.0 - r ** 4)
+        slack = profile.tail_bound + J * EPS * exact
+        assert abs(var - exact) <= slack
+        assert abs(law.variance - exact) <= slack
+
     def test_truncation_failure(self, monkeypatch):
         monkeypatch.setattr(counting, "_HARD_CAP", 5)
         with pytest.raises(TruncationFailure):
@@ -202,6 +236,24 @@ class TestGeneratingFunction:
             generating_function(profile, -1.0)
 
 
+def manual_profile(probs):
+    return BernoulliProfile(nu=1.0, r=0.5, probabilities=np.asarray(probs, dtype=float),
+                            tail_bound=0.0)
+
+
+def assert_matches_sequential_pmf(profile):
+    """Every oracle entry at or above the smallest normal double is within
+    2 J eps relative, and the pmf spans {0, ..., J}."""
+    pmf = distribution(profile).pmf
+    ref = sequential_pmf(profile.probabilities)
+    J = profile.truncation
+    assert pmf.shape == (J + 1,)
+    assert np.all(pmf >= 0.0)
+    normal = ref >= TINY
+    rel = np.abs(pmf[normal] - ref[normal]) / ref[normal]
+    assert rel.max(initial=0.0) <= 2.0 * max(J, 1) * EPS
+
+
 class TestDistribution:
     def test_point_mass_for_zero_profile(self):
         profile = BernoulliProfile(nu=1.0, r=0.1, probabilities=np.zeros(5),
@@ -210,6 +262,50 @@ class TestDistribution:
         assert law.pmf[0] == 1.0
         assert law.pmf[1:].sum() == 0.0
         assert law.mean == 0.0 and law.variance == 0.0
+        assert np.array_equal(law.pmf, sequential_pmf(profile.probabilities))
+
+    def test_zero_profile_beyond_one_block(self):
+        law = distribution(manual_profile(np.zeros(1000)))
+        assert law.pmf.shape == (1001,)
+        assert law.pmf[0] == 1.0 and law.pmf[1:].sum() == 0.0
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_single_factor(self, p):
+        assert np.array_equal(distribution(manual_profile([p])).pmf, [1.0 - p, p])
+
+    def test_one_block_is_the_sequential_recurrence_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for J in (2, 17, 32):
+            probs = rng.random(J)
+            assert np.array_equal(distribution(manual_profile(probs)).pmf,
+                                  sequential_pmf(probs))
+
+    def test_certain_factors_shift_the_law(self):
+        # p_j == 1.0 exactly zeroes the low end, which the tree trims away
+        profile = build_profile(6.0, 0.995)
+        assert profile.probabilities[0] == 1.0
+        law = distribution(profile)
+        assert np.all(law.pmf[:np.count_nonzero(profile.probabilities == 1.0)] == 0.0)
+        assert_matches_sequential_pmf(profile)
+
+    @pytest.mark.parametrize("nu, r", [(1.0, 0.5), (1.5, 0.7), (3.0, 0.9),
+                                       (1.0, 0.99), (0.75, 0.995), (1.0, 0.999)])
+    def test_matches_sequential_oracle(self, nu, r):
+        assert_matches_sequential_pmf(build_profile(nu, r))
+
+    def test_matches_sequential_oracle_on_mixed_factors(self):
+        # factors of every size, shuffled, with exact zeros and ones among them
+        rng = np.random.default_rng(9)
+        probs = np.concatenate([rng.random(700), rng.random(300) ** 40,
+                                np.zeros(20), np.ones(20)])
+        assert_matches_sequential_pmf(manual_profile(rng.permutation(probs)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(nu=st.floats(0.5001, 6.0), r=st.floats(0.01, 0.999))
+    def test_matches_sequential_oracle_across_the_domain(self, nu, r):
+        profile = build_profile(nu, r)
+        assume(profile.truncation <= 20000)
+        assert_matches_sequential_pmf(profile)
 
     def test_pmf_sums_to_one(self):
         for nu, r in [(1.0, 0.5), (1.5, 0.7), (3.0, 0.9)]:
@@ -269,8 +365,23 @@ class TestBinomialMoments:
         for p in profile.probabilities.tolist():
             for order in range(4, 0, -1):
                 e[order] += Fraction(p) * e[order - 1]
+        moments = binomial_moments(profile, 4)
         for k in range(1, 5):
             assert binomial_moment(profile, k) == pytest.approx(float(e[k]), rel=5e-15)
+            assert moments[k - 1] == pytest.approx(float(e[k]), rel=5e-15)
+
+    def test_moments_array_ends_in_the_single_moment(self):
+        profile = build_profile(1.5, 0.7)
+        for k in (1, 3, 6):
+            moments = binomial_moments(profile, k)
+            assert moments.shape == (k,)
+            assert moments[-1] == binomial_moment(profile, k)
+
+    def test_moments_array_is_zero_past_truncation(self):
+        profile = manual_profile([0.5, 0.25])
+        assert np.array_equal(binomial_moments(profile, 4), [0.75, 0.125, 0.0, 0.0])
+        with pytest.raises(DomainError):
+            binomial_moments(profile, 0)
 
     def test_order_beyond_truncation_is_zero(self):
         profile = build_profile(1.0, 0.5)
@@ -334,6 +445,52 @@ class TestSampling:
         sigma_sq = float((profile.probabilities * (1 - profile.probabilities)).sum())
         assert abs(mean - mu) < 4 * math.sqrt(sigma_sq / n)
         assert var == pytest.approx(sigma_sq, rel=0.08)
+
+    @pytest.mark.parametrize("profile", [
+        build_profile(1.5, 0.7),
+        build_profile(6.0, 0.995),             # p_1 == 1.0: threshold 2^53
+        manual_profile([0.5] * 7),             # threshold exactly 2^52
+        manual_profile([0.0, 1.0, 2.0 ** -60, 0.5, 1.0 - EPS / 2]),
+    ], ids=["J44", "certain_first", "halves", "edges"])
+    @pytest.mark.parametrize("seed, n, chunk", [(0, 700, 20000), (12345, 700, 33),
+                                                (2 ** 40 + 3, 257, 1)])
+    def test_matches_uniform_comparison_oracle(self, profile, seed, n, chunk):
+        expected = uniform_histogram(profile.probabilities, seed, n, chunk=64)
+        assert np.array_equal(sample_counts(profile, seed, n, chunk=chunk), expected)
+
+    def test_threshold_decides_boundary_words_as_the_uniform_would(self, monkeypatch):
+        # raw words whose 53-bit uniform sits just below, at and just above
+        # each p_j, with low bits that random() discards set at random
+        probs = np.array([0.0, 2.0 ** -1074, 2.0 ** -60, 0.25 + 2.0 ** -54, 0.3,
+                          0.5, 1.0 - EPS / 2, 1.0, build_profile(1.5, 0.7).probabilities[5]])
+        near = np.ceil(np.ldexp(probs, 53)).astype(np.int64)
+        k = np.clip(near + np.arange(-2, 3)[:, None], 0, 2 ** 53 - 1).astype(np.uint64)
+        low = np.random.default_rng(1).integers(0, 2 ** 11, size=k.shape, dtype=np.uint64)
+        words = (k << np.uint64(11)) | low
+
+        class Replay:
+            def __init__(self, seed_sequence):
+                self.next = 0
+
+            def random_raw(self, size):
+                out = words.ravel()[self.next:self.next + size]
+                self.next += size
+                return out.copy()
+
+        monkeypatch.setattr(np.random, "Philox", Replay)
+        uniforms = (words >> np.uint64(11)).astype(float) * 2.0 ** -53
+        expected = np.bincount((uniforms < probs).sum(axis=1), minlength=probs.size + 1)
+        hist = sample_counts(manual_profile(probs), 0, words.shape[0], chunk=2)
+        assert np.array_equal(hist, expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63), n=st.integers(1, 600),
+           chunk=st.integers(1, 700), oracle_chunk=st.integers(1, 700))
+    def test_stream_matches_oracle_for_every_chunking(self, seed, n, chunk, oracle_chunk):
+        profile = build_profile(1.0, 0.9)
+        assert np.array_equal(
+            sample_counts(profile, seed, n, chunk=chunk),
+            uniform_histogram(profile.probabilities, seed, n, chunk=oracle_chunk))
 
     def test_requires_samples(self):
         profile = build_profile(1.0, 0.5)
