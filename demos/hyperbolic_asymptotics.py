@@ -6,7 +6,7 @@ hyperbolic lens area, which Gauss-Bonnet gives in closed form.  At the
 lowest level m = 0 the count is also a sum of independent Bernoullis, and
 its variance series is an independent check.
 As r -> 1 the variance blows up like C / (1 - r^2); the constant C is an
-explicit radial integral, bounded above by 2(nu - m) - 1.  At the lowest
+exact finite Gauss-Jacobi sum, bounded above by 2(nu - m) - 1.  At the lowest
 level with nu = 1 everything is exactly solvable: V = r^2 / (1 - r^4) and
 C = 1/2, which this script uses as a benchmark.
 

@@ -58,6 +58,7 @@ __all__ = [
 
 # relative rounding allowed for in p_J q_J / (1 - q_J); see build_profile
 _ROUNDING_MARGIN = 1.0 + 1e-10
+_LOG_MAX = math.log(np.finfo(float).max)   # math.exp overflows past it
 _FIRST_BLOCK = 64
 # the largest truncation build_profile may reach
 _HARD_CAP = 2 ** 18
@@ -161,11 +162,16 @@ def generating_function(profile: BernoulliProfile, s: float) -> float:
     """E (1+s)^{N_r} as the truncated product prod_j (1 + s p_j).
 
     Valid for |s| < 1 (the range for which the infinite product is
-    certified); evaluated as exp(sum log1p(s p_j)) for stability.
+    certified); evaluated as exp(sum log1p(s p_j)) for stability.  Raises
+    :class:`TruncationFailure` when the product overflows a double.
     """
     if not -1.0 < s < 1.0:
         raise DomainError(f"s must lie in (-1, 1), got {s}")
-    return float(math.exp(np.log1p(s * profile.probabilities).sum()))
+    log_value = float(np.log1p(s * profile.probabilities).sum())
+    if log_value > _LOG_MAX:
+        raise TruncationFailure(
+            f"the generating product overflows a double at s={s}: its log is {log_value:.6g}")
+    return math.exp(log_value)
 
 
 def _trimmed(poly: np.ndarray, offset: int):

@@ -8,8 +8,8 @@ Shirai's angular factor) and the rest past rho = 2r is a Gauss-Laguerre sum;
 on the disc the area is the Gauss-Bonnet closed form and the rest a
 Gauss-Jacobi sum.  Each computation carries two route names (shirai and
 geometric, int1 and int3), so their agreement checks nothing.  Also here:
-the constant C of Var(N_r) ~ C / (1 - r^2) as r -> 1, and the
-curvature-rescaling table that links the disc family to the planar one.
+the constant C of Var(N_r) ~ C / (1 - r^2) as r -> 1, a finite sum, and
+the curvature-rescaling table that links the disc family to the planar one.
 
 Conventions.  The radial reduction of the disc-process variance is
 
@@ -55,7 +55,7 @@ __all__ = [
     "contraction_check",
 ]
 
-ROUTES = ("shirai", "geometric", "int1", "int3", "series")
+ROUTES = ("shirai", "geometric", "int1", "int3")
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,9 @@ def variance_euclidean_geometric(level: EuclideanLevel, r: float,
     return _variance_planar(level, r, quad, "geometric")
 
 
-def _log_weight_envelope(level: HyperbolicLevel) -> float:
-    """log of (beta/pi)^2 max |P_m^{(0, beta)}|^2, the largest factors of the
-    radial weight; :class:`QuadratureFailure` if they overflow a double."""
+def _check_weight_envelope(level: HyperbolicLevel) -> None:
+    """:class:`QuadratureFailure` if (beta/pi)^2 max |P_m^{(0, beta)}|^2, the
+    largest factors of the radial weight, overflow a double."""
     # max |P_m| = (beta + 1)_m / m!, by betaln: a difference of lgammas cancels at large beta
     log_pmax = -special.betaln(level.beta + 1.0, level.m + 1.0) - math.log(level.beta + level.m + 1.0)
     log_envelope = 2.0 * (math.log(level.beta / math.pi) + log_pmax)
@@ -163,24 +163,6 @@ def _log_weight_envelope(level: HyperbolicLevel) -> float:
         raise QuadratureFailure(
             f"the radial weight overflows at nu={level.nu}, m={level.m}: "
             f"(beta/pi)^2 max|P_m|^2 = e^{log_envelope:.6g}")
-    return log_envelope
-
-
-def _radial_cutoff(level: HyperbolicLevel, envelope: float, abs_tol: float):
-    """Upper limit U and tail bound for the radial integral in u = atanh(rho).
-
-    The u-integrand is bounded by M sech^{2 beta}(u) <= M 4^beta e^{-2 beta U}
-    with M = ``envelope``, so the tail past U is below
-    M 4^beta e^{-2 beta U} / (2 beta).  Both are formed in log space, since
-    4^beta alone overflows a double once beta exceeds about 511.
-    """
-    beta = level.beta
-    target = max(0.5 * abs_tol, 1e-300)
-    log_scale = math.log(max(envelope, 1e-300)) + beta * math.log(4.0)
-    U = max(4.0, (log_scale - math.log(2.0 * beta * target)) / (2.0 * beta))
-    U = min(U, 30.0)
-    tail = math.exp(log_scale - math.log(2.0 * beta) - 2.0 * beta * U)
-    return U, tail
 
 
 def _radial_weight(level: HyperbolicLevel, u):
@@ -197,33 +179,24 @@ def _radial_weight(level: HyperbolicLevel, u):
     return np.sinh(u) * np.cosh(u) * _radial_profile(level, log_g, np.tanh(u) ** 2)
 
 
-def _peak_width(level: HyperbolicLevel) -> float:
-    """A u past which the weight has fallen by e^{-64}: 8 sqrt((m + 1)/beta).
-
-    Below it lie the peak of sech^{2 beta} u ~ e^{-beta u^2} and the m zeros of
-    the Jacobi factor.  A range much longer than this is split here, so that
-    the first Gauss-Legendre rules cannot miss a narrow peak at large beta.
-    """
-    return 8.0 * math.sqrt((level.m + 1) / level.beta)
-
-
 @functools.lru_cache(maxsize=256)
-def _tail_rule(m: int, beta: float):
-    """(m + 1)-point Gauss rule for t^{beta - 1} dt on [0, 1], in y = beta (1 - t).
+def _tail_rule(m: int, beta: float, a: float = 0.0):
+    """(m + 1)-point Gauss rule for t^{beta - 1} (1 - t)^a dt on [0, 1], in y = beta (1 - t).
 
-    Golub-Welsch on the Jacobi matrix of (1 - x)^{beta - 1} dx, x = 1 - t,
-    whose entries are written without cancellation and scaled by beta, so
-    they stay finite for every beta > 0 (they tend to the Gauss-Laguerre
-    ones, 2k + 1 and k, as beta grows).  Returns nodes y and weights
-    summing to 1; all weights are positive.
+    Golub-Welsch on the Jacobi matrix of x^a (1 - x)^{beta - 1} dx, x = 1 - t,
+    whose entries are written without cancellation and scaled by beta, with
+    every square root split, so they stay finite for every beta > 0 (at
+    a = 0 they tend to the Gauss-Laguerre ones, 2k + 1 and k, as beta
+    grows).  Returns nodes y and weights summing to 1, all positive.
     """
     b = beta - 1.0
     k = np.arange(1.0, m + 1.0)
+    s = 2.0 * k + a + b
     diag = np.empty(m + 1)
-    diag[0] = beta / (b + 2.0)
-    diag[1:] = beta / (2.0 * k + b) * (2.0 * k * (k + b + 1.0) + b) / (2.0 * k + b + 2.0)
-    off = (beta / (2.0 * k + b) * k * (k + b)
-           / (np.sqrt(2.0 * k + b + 1.0) * np.sqrt(2.0 * k + b - 1.0)))
+    diag[0] = beta * (a + 1.0) / (a + b + 2.0)
+    diag[1:] = beta / s * (2.0 * k * (k + a + b + 1.0) + b + a * (a + b + 1.0)) / (s + 2.0)
+    off = (beta / s * np.sqrt(k * (k + a)) * (k + b) * np.sqrt((k + a + b) / (k + b))
+           / (np.sqrt(s + 1.0) * np.sqrt(s - 1.0)))
     if m == 0:
         y, w = diag, np.ones(1)
     else:
@@ -275,9 +248,11 @@ def _variance_disc(level: HyperbolicLevel, r: float, quad: QuadratureConfig,
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r}")
-    _log_weight_envelope(level)
+    _check_weight_envelope(level)
     beta, R = level.beta, 2.0 * math.atanh(r)
-    peak = _peak_width(level)
+    # past u = 8 sqrt((m + 1)/beta) the weight has fallen by e^{-64}; a range much longer
+    # is split there, so that the first rules cannot miss a narrow peak at large beta
+    peak = 8.0 * math.sqrt((level.m + 1) / beta)
     resolution = 4.0 * (level.m + 1) * R * math.sqrt(beta) * _EPS
     if resolution > quad.rel_tol:
         raise QuadratureFailure(
@@ -325,24 +300,42 @@ def variance_hyperbolic_via_transformed(level: HyperbolicLevel, r: float,
 
 def asymptotic_constant(level: HyperbolicLevel,
                         quad: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """Constant C in Var(N_r) ~ C / (1 - r^2) as r -> 1.
+    """Constant C in Var(N_r) ~ C / (1 - r^2) as r -> 1, as an exact finite sum.
 
-    C = 2 pi * int_0^inf w(u) arccos(1 - 2 tanh^2 u) du with the weight
-    :func:`_radial_weight`, finite because 2 (nu - m) - 1 > 0.  Bounded above
-    by 2 (nu - m) - 1.  The integral is taken up to the cutoff U of
-    :func:`_radial_cutoff`, and past U arccos(1 - 2 tanh^2 u) = 2 asin(tanh u)
-    is replaced by pi, which adds pi :func:`_weight_tail` (U) and leaves at
-    most 2 asin(sech U) times that tail out.
+    As r -> 1, (1 - r^2) times the lens area tends to gd u = asin(tanh u), so
+    C = 4 pi int w gd du = 4 pi int sech(u) T(u) du by parts, with w the weight
+    of :func:`_radial_weight` and T its exact tail (:func:`_weight_tail`).  In
+    z = tanh^2 u, T = beta/(2 pi^2) (1 - z)^beta S(z), where S(z) is the sum
+    w_i P_m^{(0, beta)}(1 - 2 (z + tau_i - z tau_i))^2 of degree 2m, so
+
+        C = (beta/pi) int_0^1 z^{-1/2} (1 - z)^{beta - 1/2} S(z) dz
+          = sum_k v_k S(z_k) / B(beta, 1/2)
+
+    with (z_k, v_k) from :func:`_tail_rule` at (beta + 1/2, a = -1/2): (m + 1)^2
+    positive terms, summed exactly.  At m = 0, C = 1/B(beta, 1/2); always
+    C <= beta = 2 (nu - m) - 1.  :class:`QuadratureFailure` if a rounding
+    bound misses ``quad.tolerance(C)`` or the Jacobi recurrence overflows
+    (beta past about 1e154 at m >= 2).
     """
-    envelope = math.pi * math.exp(_log_weight_envelope(level))
-
-    def outer(u):
-        return _radial_weight(level, u) * 2.0 * np.arcsin(np.tanh(u))
-
-    U, _ = _radial_cutoff(level, envelope, quad.abs_tol)
-    peak = _peak_width(level)
-    value, _ = integrate_interval(outer, 0.0, U, quad, (peak,) if 8.0 * peak < U else ())
-    return 2.0 * math.pi * (value + math.pi * math.exp(_weight_tail(level, U)[0]))
+    beta, m = level.beta, level.m
+    tau, w = _tail_rule(m, beta)
+    z, v = _tail_rule(m, beta + 0.5, -0.5)
+    z, tau = (z / (beta + 0.5))[:, None], tau / beta
+    with np.errstate(all="ignore"):   # an overflowing recurrence makes every P 0, inf or nan
+        p = _jacobi_zero_beta_gap(m, beta, z + tau - z * tau)
+        total = float(v @ (p * p) @ w)
+    # -log B(beta, 1/2): scipy's betaln differences lgammas past beta = 171 and loses up
+    # to 2e-9 there, so larger beta take Stirling's series, next term below 1.2e-3 beta^-7
+    b2 = beta * beta
+    parts = ((-special.betaln(beta, 0.5),) if beta <= 100.0 else
+             (0.5 * math.log(beta / math.pi), (-0.125 + (1 / 192 - 1 / (640 * b2)) / b2) / beta))
+    value = math.exp(sum(parts)) * total
+    rounding = _EPS * (16.0 * (m + 1) ** 2 + sum(abs(x) for x in parts)) * value
+    if not (0.0 < value < math.inf and rounding <= quad.tolerance(value)):
+        raise QuadratureFailure(
+            f"limit constant at nu={level.nu}, m={level.m}: {value!r} with rounding "
+            f"{rounding:.3e} against tolerance {quad.tolerance(value):.3e}")
+    return value
 
 
 def contraction_check(m: int, r: float, R_values: Sequence[float],

@@ -15,7 +15,9 @@ The hyperbolic lens integral has two quadrature forms, the direct angular
 one and the integration-by-parts one, batched over an array of |z|.  They
 are the oracles of the library's Gauss-Bonnet closed form, and the disc
 variance with the lens taken by quadrature at every outer node is the
-oracle of the disc routes at m > 0.
+oracle of the disc routes at m > 0.  The limit constant C has its radial
+integral up to a cutoff U, plus pi times the exact weight tail past U, as
+the oracle of the library's finite Gauss-Jacobi sum at m > 0.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, linalg, special
 
 from dppstats import (DEFAULT_QUAD, DomainError, LensIntegralResult,
                       QuadratureConfig, QuadratureFailure)
@@ -425,3 +427,59 @@ def disc_variance_quadrature_lens(level, r: float, lens=_lens_direct,
     rounding = 2.0 * nodes[0] * np.finfo(float).eps * value
     return (4.0 * math.pi * (value + rest),
             4.0 * math.pi * (err + math.sqrt(R) * inner_err_sup[0] + rounding))
+
+
+def _radial_cutoff(level, envelope: float, abs_tol: float):
+    """Upper limit U and tail bound for the radial integral in u = atanh(rho).
+
+    The u-integrand is bounded by M sech^{2 beta}(u) <= M 4^beta e^{-2 beta U}
+    with M = ``envelope``, so the tail past U is below
+    M 4^beta e^{-2 beta U} / (2 beta).  Both are formed in log space, since
+    4^beta alone overflows a double once beta exceeds about 511.
+    """
+    beta = level.beta
+    target = max(0.5 * abs_tol, 1e-300)
+    log_scale = math.log(max(envelope, 1e-300)) + beta * math.log(4.0)
+    U = max(4.0, (log_scale - math.log(2.0 * beta * target)) / (2.0 * beta))
+    U = min(U, 30.0)
+    tail = math.exp(log_scale - math.log(2.0 * beta) - 2.0 * beta * U)
+    return U, tail
+
+
+def asymptotic_constant_cutoff(level, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+    """C = 2 pi int_0^inf w(u) arccos(1 - 2 tanh^2 u) du by radial quadrature.
+
+    The integral is taken up to the cutoff U of :func:`_radial_cutoff`, and
+    past U arccos(1 - 2 tanh^2 u) = 2 asin(tanh u) is replaced by pi, which
+    adds pi :func:`dppstats.variance._weight_tail` (U) and leaves at most
+    2 asin(sech U) times that tail out.  The range is split at
+    8 sqrt((m + 1)/beta), past which the weight has fallen by e^{-64}.
+    """
+    beta, m = level.beta, level.m
+    # pi (beta/pi)^2 max |P_m|^2, max |P_m| = (beta + 1)_m / m!
+    log_pmax = -special.betaln(beta + 1.0, m + 1.0) - math.log(beta + m + 1.0)
+    envelope = math.pi * math.exp(2.0 * (math.log(beta / math.pi) + log_pmax))
+
+    def outer(u):
+        return _radial_weight(level, u) * 2.0 * np.arcsin(np.tanh(u))
+
+    U, _ = _radial_cutoff(level, envelope, quad.abs_tol)
+    peak = 8.0 * math.sqrt((m + 1) / beta)
+    value, _ = integrate_interval(outer, 0.0, U, quad, (peak,) if 8.0 * peak < U else ())
+    return 2.0 * math.pi * (value + math.pi * math.exp(_weight_tail(level, U)[0]))
+
+
+def tail_rule_zero_exponent(m: int, beta: float):
+    """The (m + 1)-point Gauss rule for t^{beta - 1} dt on [0, 1], in y = beta (1 - t),
+    from the Jacobi entries written for that weight alone (no second exponent)."""
+    b = beta - 1.0
+    k = np.arange(1.0, m + 1.0)
+    diag = np.empty(m + 1)
+    diag[0] = beta / (b + 2.0)
+    diag[1:] = beta / (2.0 * k + b) * (2.0 * k * (k + b + 1.0) + b) / (2.0 * k + b + 2.0)
+    off = (beta / (2.0 * k + b) * k * (k + b)
+           / (np.sqrt(2.0 * k + b + 1.0) * np.sqrt(2.0 * k + b - 1.0)))
+    if m == 0:
+        return diag, np.ones(1)
+    y, vectors = linalg.eigh_tridiagonal(diag, off)
+    return y, vectors[0] ** 2

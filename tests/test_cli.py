@@ -4,7 +4,6 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from dppstats import quadrature
 from dppstats.cli import cli
 
 
@@ -73,9 +72,9 @@ class TestVarianceCommand:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
 
-    def test_unreachable_tolerance_exits_3(self, runner, monkeypatch):
-        # a short schedule fails the same way without building the 8192-node rule
-        monkeypatch.setattr(quadrature, "_GL_MAX_NODES", 256)
+    def test_unreachable_tolerance_exits_3(self, runner):
+        # the rounding bound of the limit constant misses rel_tol = 1e-30, so
+        # no variance runs
         result = runner.invoke(cli, ["asymptotics", "--nu", "1", "--m", "0",
                                      "--r", "0.9", "--abs-tol", "1e-300",
                                      "--rel-tol", "1e-30"])
@@ -176,6 +175,14 @@ class TestDistributionCommand:
         result = runner.invoke(cli, ["distribution", "--nu", "300", "--r", "0.9"])
         assert result.exit_code == 0
         assert "# truncation=3504" in result.output
+
+    def test_overflowing_generating_product_exits_3(self, runner):
+        # this ended in an OverflowError traceback from math.exp
+        result = runner.invoke(cli, ["distribution", "--nu", "3", "--r", "0.999",
+                                     "--s", "0.9"])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "overflows" in result.output
 
     def test_subnormal_epsilon_exits_3(self, runner):
         result = runner.invoke(cli, ["distribution", "--nu", "1", "--r", "0.5",
@@ -311,6 +318,13 @@ FUZZ_GRID = [
 ]
 
 
+# whole argument lists and the exit codes each may give
+FUZZ_CASES = [
+    (["distribution", "--nu", "3", "--r", "0.999", "--s", "0.9"], (3,)),
+    (["asymptotics", "--nu", "1e300", "--m", "0"], (0, 3)),
+]
+
+
 def _with_option(base, option, value):
     args = list(base)
     if option in args:
@@ -334,12 +348,12 @@ def test_cli_fuzz_grid_exits_cleanly(runner):
     # a deterministic grid of in- and out-of-domain arguments: every run
     # exits 0, 2 or 3, raises nothing but SystemExit, and a success prints
     # no nan
-    cases = list(_fuzz_cases())
+    cases = [(args, (0, 2, 3)) for args in _fuzz_cases()]
     assert len(cases) > 150
-    for args in cases:
+    for args, codes in cases + FUZZ_CASES:
         result = runner.invoke(cli, args)
         where = " ".join(args)
-        assert result.exit_code in (0, 2, 3), where
+        assert result.exit_code in codes, where
         assert result.exception is None or isinstance(result.exception, SystemExit), where
         if result.exit_code == 0:
             assert "nan" not in result.output.lower(), where

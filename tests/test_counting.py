@@ -235,6 +235,13 @@ class TestGeneratingFunction:
         with pytest.raises(DomainError):
             generating_function(profile, -1.0)
 
+    def test_overflow_raises_truncation_failure(self):
+        # sum log1p(0.9 p_j) is about 1733 here; math.exp raised OverflowError
+        profile = build_profile(3.0, 0.999)
+        with pytest.raises(TruncationFailure, match="overflows"):
+            generating_function(profile, 0.9)
+        assert 1.0 < generating_function(profile, 0.1) < math.inf
+
 
 def manual_profile(probs):
     return BernoulliProfile(nu=1.0, r=0.5, probabilities=np.asarray(probs, dtype=float),

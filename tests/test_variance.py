@@ -13,12 +13,15 @@ from dppstats import (DomainError, EuclideanLevel, HyperbolicLevel,
                       variance_euclidean_geometric,
                       variance_euclidean_shirai, variance_hyperbolic,
                       variance_hyperbolic_via_transformed)
-from oracles import (_lens_direct, _lens_transformed, disc_variance_quadrature_lens,
-                     ginibre_variance, planar_sector_variance)
+from oracles import (_lens_direct, _lens_transformed, asymptotic_constant_cutoff,
+                     disc_variance_quadrature_lens, ginibre_variance, planar_sector_variance,
+                     tail_rule_zero_exponent)
 
 DISC_ROUTES = (variance_hyperbolic, variance_hyperbolic_via_transformed)
 
 PLANAR_ROUTES = (variance_euclidean_shirai, variance_euclidean_geometric)
+
+EPS = float(np.finfo(float).eps)
 
 
 def peres_virag(r):
@@ -207,8 +210,44 @@ class TestAsymptoticConstant:
         (1.0, 0, 1 / 2), (2.0, 0, 15 / 16), (2.0, 1, 11 / 16), (3.0, 1, 375 / 256),
         (3.5, 2, 669 / 512)])
     def test_dyadic_constants(self, nu, m, exact):
-        # without the exact weight tail past the cutoff C came out 3.1e-12 short
-        assert asymptotic_constant(HyperbolicLevel(nu, m)) == pytest.approx(exact, abs=1e-13)
+        # without the exact weight tail past the cutoff C came out 3.1e-12 short,
+        # and with it the radial quadrature was up to 1.5e-14 relative off
+        c = asymptotic_constant(HyperbolicLevel(nu, m))
+        assert abs(c - exact) <= 8.0 * EPS * exact
+
+    @settings(max_examples=40, deadline=None)
+    @given(nu=st.floats(0.5, 50.0, exclude_min=True), m=st.integers(0, 4))
+    def test_matches_radial_quadrature(self, nu, m):
+        assume(m <= math.floor(nu - 0.5) and 2.0 * (nu - m) - 1.0 > 0.0)
+        level = HyperbolicLevel(nu, m)
+        assert asymptotic_constant(level) == pytest.approx(
+            asymptotic_constant_cutoff(level), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("nu", [50.5, 50.5001, 60.0, 85.0])
+    def test_prefactor_series_meets_gamma_ratio(self, nu):
+        # beta on both sides of 100, where the prefactor leaves betaln for the
+        # series; up to beta = 171 betaln is a ratio of gammas, good to a few eps
+        level = HyperbolicLevel(nu, 0)
+        exact = math.exp(-special.betaln(level.beta, 0.5))
+        assert abs(asymptotic_constant(level) - exact) <= 8.0 * EPS * exact
+
+    def test_makes_no_quadrature_call(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("asymptotic_constant called integrate_rows")
+
+        monkeypatch.setattr(quadrature, "integrate_rows", forbidden)
+        assert asymptotic_constant(HyperbolicLevel(3.5, 2)) == pytest.approx(669 / 512)
+
+    def test_unreachable_tolerance_raises(self):
+        quad = QuadratureConfig(rel_tol=1e-30, abs_tol=1e-300)
+        with pytest.raises(QuadratureFailure, match="rounding"):
+            asymptotic_constant(HyperbolicLevel(1.0, 0), quad)
+
+    @pytest.mark.parametrize("nu", [1e160, 1e300])
+    def test_overflowing_recurrence_raises(self, nu):
+        # the coefficients of the Jacobi recurrence pass DBL_MAX at m >= 2
+        with pytest.raises(QuadratureFailure):
+            asymptotic_constant(HyperbolicLevel(nu, 2))
 
     def test_self_consistency_at_high_radius(self):
         level = HyperbolicLevel(2.0, 0)
@@ -257,7 +296,7 @@ class TestVarianceResult:
 
 
 class TestLargeBeta:
-    """Radial cutoff and tail bound stay finite past beta ~ 511 (4^beta overflows)."""
+    """The disc routes and C stay finite, or raise, far past beta ~ 511."""
 
     def test_asymptotic_constant_at_large_nu(self):
         level = HyperbolicLevel(300.0, 0)
@@ -270,12 +309,14 @@ class TestLargeBeta:
         assert rows[0].ratio == pytest.approx(1.0, abs=0.05)
 
     def test_asymptotic_constant_at_m0_matches_closed_form(self):
-        # C = Gamma(beta + 1/2) / (sqrt(pi) Gamma(beta)) = 1 / B(beta, 1/2); at
-        # nu = 1e8 the weight's peak, of width ~ beta^{-1/2}, needs its own piece
-        for nu in (0.51, 3.0, 300.0, 1e8, 1e12):
+        # C = Gamma(beta + 1/2) / (sqrt(pi) Gamma(beta)) = 1 / B(beta, 1/2); under
+        # filterwarnings = error a warning fails the test too
+        for nu in (0.51, 3.0, 300.0, 1e8, 1e12, 1e100, 1e300):
             beta = 2.0 * nu - 1.0
             exact = math.exp(-special.betaln(beta, 0.5))
-            assert asymptotic_constant(HyperbolicLevel(nu, 0)) == pytest.approx(exact, rel=1e-9)
+            c = asymptotic_constant(HyperbolicLevel(nu, 0))
+            assert not math.isnan(c)
+            assert c == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("nu", [1e8, 1e10, 1e300])
     def test_large_nu_raises_or_scales_like_sqrt_beta(self, nu):
@@ -307,12 +348,6 @@ class TestLargeBeta:
             # R^2 (ratio - 1) settles to a constant of the level
             slopes = [row.scale ** 2 * (row.ratio - 1.0) for row in rows[1:]]
             assert slopes[1] == pytest.approx(slopes[0], rel=1e-2)
-
-    def test_cutoff_tail_is_finite(self):
-        for nu in (300.0, 2000.0):
-            level = HyperbolicLevel(nu, 0)
-            U, tail = variance._radial_cutoff(level, 1e6, 1e-12)
-            assert 4.0 <= U <= 30.0 and 0.0 <= tail < 1e-12
 
 
 class TestRadialWeight:
@@ -423,3 +458,32 @@ class TestDiscOracles:
         for nu in (1e3, 1e7, 1e12):
             log_tail, size = variance._weight_tail(HyperbolicLevel(nu, m), 1e-3)
             assert math.isfinite(log_tail) and size >= abs(log_tail)
+
+
+class TestTailRule:
+    """The Gauss rule for t^{beta - 1} (1 - t)^a in y = beta (1 - t), a in {0, -1/2}."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("beta", [0.6, 1.0, 2.5, 7.0, 40.0])
+    def test_half_exponent_matches_roots_jacobi(self, m, beta):
+        y, v = variance._tail_rule(m, beta, -0.5)
+        # weight (1 - x)^{-1/2} (1 + x)^{beta - 1} on [-1, 1], with t = (1 + x)/2
+        x, wx = special.roots_jacobi(m + 1, -0.5, beta - 1.0)
+        np.testing.assert_allclose(y, (beta * (1.0 - x) / 2.0)[::-1], rtol=1e-13)
+        np.testing.assert_allclose(v, (wx / wx.sum())[::-1], rtol=1e-13)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("beta", [0.02, 0.5, 1.0, 3.3, 1e3, 1e12, 2e300])
+    def test_zero_exponent_keeps_its_rule(self, m, beta):
+        y, w = variance._tail_rule(m, beta)
+        y0, w0 = tail_rule_zero_exponent(m, beta)
+        np.testing.assert_allclose(y, y0, rtol=2.0 * EPS, atol=0.0)
+        np.testing.assert_allclose(w, w0, rtol=2.0 * EPS, atol=0.0)
+
+    @pytest.mark.parametrize("a", [0.0, -0.5])
+    @pytest.mark.parametrize("m", [0, 1, 3, 6])
+    def test_finite_at_huge_beta(self, a, m):
+        # every product of two entries overflows here; the entries are split
+        y, w = variance._tail_rule(m, 2e300, a)
+        assert np.all(np.isfinite(y)) and np.all(w > 0.0)
+        assert w.sum() == pytest.approx(1.0, rel=8.0 * EPS, abs=0.0)
