@@ -29,9 +29,12 @@ pairwise by direct convolution, their exact zeros at both ends trimmed.
 Every term is a product and sum of non-negative numbers, so each pmf entry
 that is a normal double keeps a relative error of order J eps; no FFT is
 used, whose absolute error of eps times the largest entry would swamp the
-small entries.  The sampler draws the same Philox stream as
-``Generator.random`` and compares the raw 53-bit integers against integer
-thresholds, which decides every Bernoulli draw exactly as u < p_j would.
+small entries.  The sampler inverts the CDF of that pmf: draw i takes raw
+word i of a Philox stream, in blocks of at most min(chunk, 2^18) words, and
+its top 53 bits are located among the integer thresholds ceil(F_k 2^53) of
+the pmf's CDF F, which decides every draw exactly as the uniform u < F_k of
+``Generator.random`` would.  The sampled law is within a few J eps of the
+Bernoulli model's in Kolmogorov distance.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ _HARD_CAP = 2 ** 18
 _TINY = np.finfo(float).tiny
 # the least number of Bernoulli factors in one block of distribution()
 _PMF_BLOCK = 32
-# sample_counts draws at most this many uniforms (8 bytes each) per block
-_SAMPLE_BLOCK_UNIFORMS = 2 ** 18
+# sample_counts draws at most this many raw words (8 bytes each) per block
+_SAMPLE_BLOCK_WORDS = 2 ** 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,36 +263,46 @@ def variance_series(nu: float, r: float, epsilon: float = 1e-12) -> float:
     return float(p.sum() - (p ** 2).sum())
 
 
+def _cdf_thresholds(pmf: np.ndarray) -> np.ndarray:
+    """ceil(F_k 2^53) as uint64 for F_k = (pmf_0 + ... + pmf_k) / sum(pmf), k < J.
+
+    For an integer m < 2^53, m 2^-53 < F_k exactly when m < ceil(F_k 2^53):
+    F_k 2^53 is exact, and so is its ceiling.
+    """
+    return np.ceil(np.ldexp(np.cumsum(pmf[:-1]) / pmf.sum(), 53)).astype(np.uint64)
+
+
 def sample_counts(profile: BernoulliProfile, seed: int, n_samples: int,
                   chunk: int = 20000) -> np.ndarray:
     """Histogram of ``n_samples`` independent draws of the count.
 
-    Driven by the counter-based Philox generator keyed by ``seed``; draw i
-    consumes the uniforms [i*J, (i+1)*J) of the stream, so results are
-    bit-identical across runs, chunk sizes and platforms, and a parallel
-    driver can reproduce any draw by jumping the counter.  The uniform
-    u = (w >> 11) 2^-53 of a raw 64-bit word w is never formed: u < p_j
-    holds exactly when the integer w >> 11 is below ceil(p_j 2^53), so the
-    histogram equals that of ``Generator.random() < p``.  Each block holds
-    at most ``chunk`` draws and about 2^18 uniforms (2 MB), whichever is
-    fewer.  Returns integer counts over {0, ..., J}.
+    Inverse-CDF sampling of the :func:`distribution` pmf, driven by the
+    counter-based Philox generator keyed by ``seed``: draw i consumes raw
+    word i of the stream, so results are bit-identical across runs, chunk
+    sizes and platforms, and a parallel caller can reproduce any draw by
+    jumping the counter.  With F_k = (pmf_0 + ... + pmf_k) / sum(pmf), the
+    draw is the number of F_k at or below u = (w >> 11) 2^-53.  u is never
+    formed: F_k <= u holds exactly when ceil(F_k 2^53) <= w >> 11, so the
+    histogram equals that of ``Generator.random()`` compared with F.  The
+    sampled law is within a few J eps of the Bernoulli model's in
+    Kolmogorov distance.  Each block holds at most min(chunk, 2^18) words
+    (2 MB).  Returns integer counts over {0, ..., J}.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     if seed < 0 or seed != int(seed):
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
-    p = profile.probabilities
-    J = len(p)
-    rows = max(1, min(chunk, _SAMPLE_BLOCK_UNIFORMS // max(J, 1)))
-    thresholds = np.ceil(np.ldexp(p, 53)).astype(np.uint64)
+    pmf = distribution(profile).pmf
+    thresholds = _cdf_thresholds(pmf)
+    rows = max(1, min(chunk, _SAMPLE_BLOCK_WORDS))
     bits = np.random.Philox(np.random.SeedSequence(int(seed)))
-    hist = np.zeros(J + 1, dtype=np.int64)
+    hist = np.zeros(pmf.size, dtype=np.int64)
     done = 0
     while done < n_samples:
         take = min(rows, n_samples - done)
-        raw = bits.random_raw(take * J)
+        raw = bits.random_raw(take)
         raw >>= np.uint64(11)
-        counts = np.count_nonzero(raw.reshape(take, J) < thresholds, axis=1)
-        hist += np.bincount(counts, minlength=J + 1)
+        hist += np.bincount(np.searchsorted(thresholds, raw, side="right"),
+                            minlength=pmf.size)
         done += take
     return hist

@@ -131,12 +131,17 @@ def euclidean_lens_complement_area(r: float, z_modulus):
     z = np.atleast_1d(z)
     out = np.full_like(z, math.pi * r * r)
     near = z < 2.0 * r
-    zn = z[near]
+    out[near] = _lens_complement(r, z[near])
+    return float(out[0]) if scalar else out
+
+
+def _lens_complement(r: float, z: np.ndarray) -> np.ndarray:
+    """The area of :func:`euclidean_lens_complement_area` for an array
+    0 <= z <= 2r, unchecked."""
     # pi r^2 - 2 r^2 arccos(z/2r) == 2 r^2 arcsin(z/2r), so no term cancels;
     # the chord from 2r - z and arctan2 stay accurate up to z = 2r
-    chord = np.sqrt((2.0 * r - zn) * (2.0 * r + zn))
-    out[near] = 2.0 * r * r * np.arctan2(zn, chord) + 0.5 * zn * chord
-    return float(out[0]) if scalar else out
+    chord = np.sqrt((2.0 * r - z) * (2.0 * r + z))
+    return 2.0 * r * r * np.arctan2(z, chord) + 0.5 * z * chord
 
 
 def _validate_lens_args(r: float, z_modulus: float):

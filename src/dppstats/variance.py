@@ -39,7 +39,7 @@ import numpy as np
 from scipy import linalg, special
 
 from .exceptions import DomainError, QuadratureFailure, TruncationFailure
-from .geometry import _lens_area, euclidean_lens_complement_area
+from .geometry import _lens_area, _lens_complement
 from .kernels import EuclideanLevel, HyperbolicLevel, _radial_profile
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate_interval
 from .specfun import _jacobi_zero_beta_gap
@@ -132,7 +132,7 @@ def _variance_planar(level: EuclideanLevel, r: float, quad: QuadratureConfig,
 
     def f(rho):
         scaled = np.exp(-0.5 * rho * rho) * special.eval_laguerre(n, rho * rho)  # e^{-t/2} L_n(t)
-        return rho * scaled * scaled * euclidean_lens_complement_area(r, rho)
+        return rho * scaled * scaled * _lens_complement(r, rho)   # every node is at most 2r
 
     value, err = integrate_interval(f, 0.0, min(2.0 * r, math.sqrt(c)),
                                     quad if exact else replace(quad, rel_tol=0.75 * quad.rel_tol))

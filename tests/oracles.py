@@ -166,18 +166,21 @@ def sequential_pmf(probs: np.ndarray) -> np.ndarray:
     return pmf
 
 
-def uniform_histogram(probs: np.ndarray, seed: int, n_samples: int,
-                      chunk: int) -> np.ndarray:
-    """Histogram of draws sum_j [u_j < p_j] with the uniforms of the
-    ``seed``-keyed Philox ``Generator.random()``, ``chunk`` draws at a time."""
+def inverse_cdf_histogram(pmf: np.ndarray, seed: int, n_samples: int,
+                          chunk: int) -> np.ndarray:
+    """Histogram of inverse-CDF draws from ``pmf`` over {0, ..., J}: each draw
+    is the number of F_k = (pmf_0 + ... + pmf_k) / sum(pmf), k < J, not above
+    a uniform u of the ``seed``-keyed Philox ``Generator.random()``, compared
+    as floats, ``chunk`` draws at a time."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    J = len(probs)
-    hist = np.zeros(J + 1, dtype=np.int64)
+    cdf = np.cumsum(pmf[:-1]) / pmf.sum()
+    hist = np.zeros(len(pmf), dtype=np.int64)
     done = 0
     while done < n_samples:
         take = min(chunk, n_samples - done)
-        counts = (rng.random((take, J)) < probs).sum(axis=1)
-        hist += np.bincount(counts, minlength=J + 1)
+        u = rng.random(take)
+        counts = cdf.size - np.count_nonzero(u[:, None] < cdf, axis=1)
+        hist += np.bincount(counts, minlength=len(pmf))
         done += take
     return hist
 

@@ -12,8 +12,8 @@ from dppstats import (BernoulliProfile, DomainError, HyperbolicLevel,
                       build_profile, distribution, generating_function,
                       sample_counts, variance_hyperbolic, variance_series)
 from dppstats import counting
-from oracles import (incomplete_beta, incomplete_beta_ratio, profile_tail,
-                     sequential_pmf, tail_sum_mismatch, uniform_histogram)
+from oracles import (incomplete_beta, incomplete_beta_ratio, inverse_cdf_histogram,
+                     profile_tail, sequential_pmf, tail_sum_mismatch)
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
@@ -410,6 +410,15 @@ class TestVarianceSeries:
         assert variance_series(1.7, 1e-3) < 1e-5
 
 
+SAMPLER_PROFILES = [
+    build_profile(1.5, 0.7),
+    build_profile(6.0, 0.995),                 # p_1 == 1.0: pmf_0 == 0, so F_0 == 0
+    manual_profile([0.5] * 7),                 # dyadic F_k, thresholds exact
+    manual_profile([0.0, 1.0, 2.0 ** -60, 0.5, 1.0 - EPS / 2]),
+]
+SAMPLER_PROFILE_IDS = ["J44", "certain_first", "halves", "edges"]
+
+
 class TestSampling:
     def test_deterministic_given_seed(self):
         profile = build_profile(1.5, 0.7)
@@ -426,7 +435,7 @@ class TestSampling:
     def test_block_cap_does_not_change_stream(self, monkeypatch):
         profile = build_profile(1.0, 0.99)
         h1 = sample_counts(profile, 11, 3000)
-        monkeypatch.setattr(counting, "_SAMPLE_BLOCK_UNIFORMS", 5 * profile.truncation)
+        monkeypatch.setattr(counting, "_SAMPLE_BLOCK_WORDS", 97)
         h2 = sample_counts(profile, 11, 3000)
         assert np.array_equal(h1, h2)
 
@@ -453,42 +462,72 @@ class TestSampling:
         assert abs(mean - mu) < 4 * math.sqrt(sigma_sq / n)
         assert var == pytest.approx(sigma_sq, rel=0.08)
 
-    @pytest.mark.parametrize("profile", [
-        build_profile(1.5, 0.7),
-        build_profile(6.0, 0.995),             # p_1 == 1.0: threshold 2^53
-        manual_profile([0.5] * 7),             # threshold exactly 2^52
-        manual_profile([0.0, 1.0, 2.0 ** -60, 0.5, 1.0 - EPS / 2]),
-    ], ids=["J44", "certain_first", "halves", "edges"])
+    @pytest.mark.parametrize("profile", SAMPLER_PROFILES, ids=SAMPLER_PROFILE_IDS)
     @pytest.mark.parametrize("seed, n, chunk", [(0, 700, 20000), (12345, 700, 33),
                                                 (2 ** 40 + 3, 257, 1)])
     def test_matches_uniform_comparison_oracle(self, profile, seed, n, chunk):
-        expected = uniform_histogram(profile.probabilities, seed, n, chunk=64)
+        expected = inverse_cdf_histogram(distribution(profile).pmf, seed, n, chunk=64)
         assert np.array_equal(sample_counts(profile, seed, n, chunk=chunk), expected)
 
     def test_threshold_decides_boundary_words_as_the_uniform_would(self, monkeypatch):
         # raw words whose 53-bit uniform sits just below, at and just above
-        # each p_j, with low bits that random() discards set at random
-        probs = np.array([0.0, 2.0 ** -1074, 2.0 ** -60, 0.25 + 2.0 ** -54, 0.3,
-                          0.5, 1.0 - EPS / 2, 1.0, build_profile(1.5, 0.7).probabilities[5]])
-        near = np.ceil(np.ldexp(probs, 53)).astype(np.int64)
-        k = np.clip(near + np.arange(-2, 3)[:, None], 0, 2 ** 53 - 1).astype(np.uint64)
-        low = np.random.default_rng(1).integers(0, 2 ** 11, size=k.shape, dtype=np.uint64)
-        words = (k << np.uint64(11)) | low
+        # each ceil(F_k 2^53), with low bits that random() discards set at random
+        profiles = [manual_profile([0.0, 2.0 ** -1074, 2.0 ** -60, 0.25 + 2.0 ** -54, 0.3,
+                                    0.5, 1.0 - EPS / 2, 1.0,
+                                    build_profile(1.5, 0.7).probabilities[5]]),
+                    manual_profile([0.5] * 7)]
+        for profile in profiles:
+            pmf = distribution(profile).pmf
+            cdf = np.cumsum(pmf[:-1]) / pmf.sum()
+            near = np.ceil(np.ldexp(cdf, 53)).astype(np.int64)
+            k = np.clip(near + np.arange(-2, 3)[:, None], 0, 2 ** 53 - 1).astype(np.uint64)
+            low = np.random.default_rng(1).integers(0, 2 ** 11, size=k.size, dtype=np.uint64)
+            words = (k.ravel() << np.uint64(11)) | low
 
-        class Replay:
+            class Replay:
+                def __init__(self, seed_sequence):
+                    self.next = 0
+
+                def random_raw(self, size):
+                    out = words[self.next:self.next + size]
+                    self.next += size
+                    return out.copy()
+
+            monkeypatch.setattr(np.random, "Philox", Replay)
+            uniforms = (words >> np.uint64(11)).astype(float) * 2.0 ** -53
+            counts = cdf.size - np.count_nonzero(uniforms[:, None] < cdf, axis=1)
+            expected = np.bincount(counts, minlength=pmf.size)
+            hist = sample_counts(profile, 0, words.size, chunk=2)
+            assert np.array_equal(hist, expected)
+
+    @pytest.mark.parametrize("profile", SAMPLER_PROFILES + [build_profile(1.0, 0.999)],
+                             ids=SAMPLER_PROFILE_IDS + ["J16914"])
+    def test_thresholds_follow_the_bernoulli_law(self, profile):
+        # the sampled CDF t_k 2^-53 against the sequential product of the J factors
+        J = profile.truncation
+        ref = np.cumsum(sequential_pmf(profile.probabilities))[:-1]
+        implied = np.ldexp(counting._cdf_thresholds(distribution(profile).pmf).astype(float), -53)
+        assert np.abs(implied - ref).max() <= (J + 2) * EPS
+
+    @pytest.mark.parametrize("nu, r", [(1.5, 0.7), (1.0, 0.999)])
+    def test_one_word_per_draw(self, nu, r, monkeypatch):
+        # draw i is word i: the O(n J) stream of one word per factor must not return
+        profile = build_profile(nu, r)
+        n = 3001
+        expected = sample_counts(profile, 3, n, chunk=1000)
+        philox, sizes = np.random.Philox, []
+
+        class Counted:
             def __init__(self, seed_sequence):
-                self.next = 0
+                self.bits = philox(seed_sequence)
 
             def random_raw(self, size):
-                out = words.ravel()[self.next:self.next + size]
-                self.next += size
-                return out.copy()
+                sizes.append(size)
+                return self.bits.random_raw(size)
 
-        monkeypatch.setattr(np.random, "Philox", Replay)
-        uniforms = (words >> np.uint64(11)).astype(float) * 2.0 ** -53
-        expected = np.bincount((uniforms < probs).sum(axis=1), minlength=probs.size + 1)
-        hist = sample_counts(manual_profile(probs), 0, words.shape[0], chunk=2)
-        assert np.array_equal(hist, expected)
+        monkeypatch.setattr(np.random, "Philox", Counted)
+        assert np.array_equal(sample_counts(profile, 3, n, chunk=1000), expected)
+        assert sum(sizes) == n and max(sizes) == 1000
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 63), n=st.integers(1, 600),
@@ -497,7 +536,7 @@ class TestSampling:
         profile = build_profile(1.0, 0.9)
         assert np.array_equal(
             sample_counts(profile, seed, n, chunk=chunk),
-            uniform_histogram(profile.probabilities, seed, n, chunk=oracle_chunk))
+            inverse_cdf_histogram(distribution(profile).pmf, seed, n, chunk=oracle_chunk))
 
     def test_requires_samples(self):
         profile = build_profile(1.0, 0.5)
