@@ -1,17 +1,20 @@
 """One-dimensional quadrature engines with error estimates.
 
-Three interchangeable schemes sit behind :class:`QuadratureConfig`:
+Three schemes sit behind :class:`QuadratureConfig`:
 
+* ``gauss_legendre_fixed``   -- node-doubling composite Gauss-Legendre,
+  the default,
 * ``adaptive_gauss_kronrod`` -- QUADPACK's adaptive Gauss-Kronrod driver
   (:func:`scipy.integrate.quad`),
-* ``gauss_legendre_fixed``   -- node-doubling composite Gauss-Legendre,
 * ``tanh_sinh``              -- double-exponential rule
   (:func:`scipy.integrate.tanhsinh`).
 
 The callers in this package always integrate smooth pieces (endpoint
 singularities are removed by explicit substitutions before the engines are
 invoked), so the node-doubling Gauss-Legendre scheme converges spectrally
-and is the default.
+and is the default.  It needs nothing from :mod:`scipy.integrate`, whose
+import pulls in scipy.optimize and scipy.sparse; the other two schemes
+import it on first use.
 
 There is one engine, :func:`integrate_rows`, with one implementation of
 each scheme.  It integrates a family of integrands, one per row, each over
@@ -39,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .exceptions import QuadratureFailure
 
@@ -175,6 +178,8 @@ def integrate_rows(f, a, b, config: QuadratureConfig):
     if config.scheme == "gauss_legendre_fixed":
         return _gauss_legendre_rows(f, a, b, active, config.abs_tol, config.rel_tol,
                                     _GL_FIRST_NODES, _GL_MAX_NODES)
+    from scipy import integrate     # the default scheme never loads scipy.integrate
+
     value = np.zeros(a.size)
     err = np.zeros(a.size)
     converged = np.ones(a.size, dtype=bool)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 from .exceptions import DomainError, QuadratureFailure, TruncationFailure
 from .geometry import _lens_area, _lens_complement
@@ -118,7 +118,10 @@ def _variance_planar(level: EuclideanLevel, r: float, quad: QuadratureConfig,
     D_r(rho)|, pi r^2 past 2r; c is the first cut with rest r^2 :func:`_laguerre_tails`
     <= abs_tol/4.  If 4 r^2 <= c the exact rest at 4 r^2 joins the value.  Else the
     quadrature stops at sqrt(c), at 3/4 rel_tol, and the rest bound (A <= pi r^2)
-    joins the error: max(2/pi abs_tol, 3/4 rel_tol V) + abs_tol/4 <= tolerance(V)."""
+    joins the error: max(2/pi abs_tol, 3/4 rel_tol V) + abs_tol/4 <= tolerance(V).
+    The error also carries the rounding bound of :func:`_variance_disc`'s quadrature,
+    (2 N + 16) eps times the integral for the largest rule of N nodes, and
+    :class:`QuadratureFailure` is raised if the sum misses the tolerance."""
     if not (r > 0.0 and math.isfinite(4.0 * r * r)):
         raise DomainError(f"r must be positive with 4 r^2 finite, got {r}")
     n, r2 = level.n, r * r
@@ -130,14 +133,23 @@ def _variance_planar(level: EuclideanLevel, r: float, quad: QuadratureConfig,
     exact = 4.0 * r2 <= c
     rest = r2 * float(_laguerre_tails(n, rule, 4.0 * r2) if exact else cut_tails[bounded[0]])
 
+    rules = []                                   # node count of every rule used
+
     def f(rho):
+        rules.append(rho.shape[-1])
         scaled = np.exp(-0.5 * rho * rho) * special.eval_laguerre(n, rho * rho)  # e^{-t/2} L_n(t)
         return rho * scaled * scaled * _lens_complement(r, rho)   # every node is at most 2r
 
     value, err = integrate_interval(f, 0.0, min(2.0 * r, math.sqrt(c)),
                                     quad if exact else replace(quad, rel_tol=0.75 * quad.rel_tol))
-    value, err = 2.0 / math.pi * value, 2.0 / math.pi * err
-    return VarianceResult(value + exact * rest, err + (not exact) * rest, route)
+    err += _EPS * (2.0 * max(rules) + 16.0) * value
+    total = 2.0 / math.pi * value + exact * rest
+    err_total = 2.0 / math.pi * err + (not exact) * rest
+    if not err_total <= quad.tolerance(total):
+        raise QuadratureFailure(
+            f"planar variance at n={n}, r={r}: error {err_total:.3e} "
+            f"exceeds tolerance {quad.tolerance(total):.3e}")
+    return VarianceResult(total, err_total, route)
 
 
 def variance_euclidean_shirai(level: EuclideanLevel, r: float,
@@ -179,15 +191,13 @@ def _radial_weight(level: HyperbolicLevel, u):
     return np.sinh(u) * np.cosh(u) * _radial_profile(level, log_g, np.tanh(u) ** 2)
 
 
-@functools.lru_cache(maxsize=256)
-def _tail_rule(m: int, beta: float, a: float = 0.0):
-    """(m + 1)-point Gauss rule for t^{beta - 1} (1 - t)^a dt on [0, 1], in y = beta (1 - t).
+def _tail_jacobi(m: int, beta: float, a: float = 0.0):
+    """Diagonal and subdiagonal of the Jacobi matrix of :func:`_tail_rule`.
 
-    Golub-Welsch on the Jacobi matrix of x^a (1 - x)^{beta - 1} dx, x = 1 - t,
-    whose entries are written without cancellation and scaled by beta, with
-    every square root split, so they stay finite for every beta > 0 (at
-    a = 0 they tend to the Gauss-Laguerre ones, 2k + 1 and k, as beta
-    grows).  Returns nodes y and weights summing to 1, all positive.
+    The matrix is that of x^a (1 - x)^{beta - 1} dx, x = 1 - t, scaled by
+    beta.  Its entries are written without cancellation, with every square
+    root split, so they stay finite for every beta > 0 (at a = 0 they tend
+    to the Gauss-Laguerre ones, 2k + 1 and k, as beta grows).
     """
     b = beta - 1.0
     k = np.arange(1.0, m + 1.0)
@@ -197,11 +207,20 @@ def _tail_rule(m: int, beta: float, a: float = 0.0):
     diag[1:] = beta / s * (2.0 * k * (k + a + b + 1.0) + b + a * (a + b + 1.0)) / (s + 2.0)
     off = (beta / s * np.sqrt(k * (k + a)) * (k + b) * np.sqrt((k + a + b) / (k + b))
            / (np.sqrt(s + 1.0) * np.sqrt(s - 1.0)))
-    if m == 0:
-        y, w = diag, np.ones(1)
-    else:
-        y, vectors = linalg.eigh_tridiagonal(diag, off)
-        w = vectors[0] ** 2
+    return diag, off
+
+
+@functools.lru_cache(maxsize=256)
+def _tail_rule(m: int, beta: float, a: float = 0.0):
+    """(m + 1)-point Gauss rule for t^{beta - 1} (1 - t)^a dt on [0, 1], in y = beta (1 - t).
+
+    Golub-Welsch on :func:`_tail_jacobi`: :func:`numpy.linalg.eigh` of the
+    dense (m + 1) x (m + 1) matrix, of which it reads the lower triangle.
+    Returns nodes y and weights summing to 1, all positive.
+    """
+    diag, off = _tail_jacobi(m, beta, a)
+    y, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    w = vectors[0] ** 2
     y.setflags(write=False)           # cached: every caller shares these arrays
     w.setflags(write=False)
     return y, w

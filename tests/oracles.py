@@ -8,8 +8,9 @@ second form that every count-law profile is held to.  The count law's pmf
 and sampler have their sequential forms here: the Bernoulli recurrence one
 factor at a time, and the comparison of ``Generator.random()`` against p.
 
-The planar count variances have two closed references: the Ginibre form at
-n = 0 and Shirai's sector series at every level.
+The planar count variances have three closed references: the Ginibre form
+and Kostlan's Bernoulli sum at n = 0, and Shirai's sector series at every
+level.
 
 The hyperbolic lens integral has two quadrature forms, the direct angular
 one and the integration-by-parts one, batched over an array of |z|.  They
@@ -189,6 +190,14 @@ def ginibre_variance(r: float) -> float:
     """Var(N_r) of the n = 0 planar process: r^2 e^{-2r^2} (I_0 + I_1)(2r^2)."""
     x = 2.0 * r * r
     return r * r * float(special.ive(0, x) + special.ive(1, x))
+
+
+def kostlan_variance(r: float) -> float:
+    """Var(N_r) of the n = 0 planar process by Kostlan's theorem: N_r is a sum of
+    independent Bernoullis with p_k = P(Gamma(k + 1) < r^2), so Var = sum_k p_k q_k."""
+    x = r * r
+    k = np.arange(math.ceil(x + 40.0 * r + 200.0)) + 1.0
+    return float(np.sum(special.gammainc(k, x) * special.gammaincc(k, x)))
 
 
 def _sector_mass(d: int, a: int, t, w, decay) -> float:
@@ -474,7 +483,8 @@ def asymptotic_constant_cutoff(level, quad: QuadratureConfig = DEFAULT_QUAD) -> 
 
 def tail_rule_zero_exponent(m: int, beta: float):
     """The (m + 1)-point Gauss rule for t^{beta - 1} dt on [0, 1], in y = beta (1 - t),
-    from the Jacobi entries written for that weight alone (no second exponent)."""
+    from the Jacobi entries written for that weight alone (no second exponent) and
+    solved by scipy's tridiagonal eigensolver, not the library's dense one."""
     b = beta - 1.0
     k = np.arange(1.0, m + 1.0)
     diag = np.empty(m + 1)

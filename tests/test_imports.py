@@ -1,0 +1,61 @@
+"""What ``import dppstats.cli`` loads, checked in a fresh interpreter.
+
+The default path imports neither scipy.integrate (with scipy.optimize and
+scipy.sparse behind it) nor scipy.linalg; the count law and the limit
+constant run without them, and the other quadrature schemes import
+scipy.integrate when first used.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+SCRIPT = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in ("scipy.integrate", "scipy.optimize", "scipy.sparse",
+                              "scipy.linalg") if m in sys.modules)
+
+import dppstats.cli
+from dppstats import (HyperbolicLevel, QuadratureConfig, asymptotic_constant,
+                      build_profile, distribution, generating_function, sample_counts)
+from dppstats.quadrature import integrate_interval
+import numpy as np
+
+state = {"import": loaded()}
+profile = build_profile(nu=1.5, r=0.7)
+distribution(profile)
+generating_function(profile, 0.5)
+sample_counts(profile, 1, 1000)
+asymptotic_constant(HyperbolicLevel(3.5, 2))
+state["count_law"] = loaded()
+state["tanh_sinh"] = integrate_interval(np.exp, 0.0, 1.0, QuadratureConfig(scheme="tanh_sinh"))[0]
+state["after_tanh_sinh"] = loaded()
+print(json.dumps(state))
+"""
+
+
+@pytest.fixture(scope="module")
+def state():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+                         text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def test_cli_import_loads_no_heavy_scipy_module(state):
+    assert state["import"] == []
+
+
+def test_count_law_and_limit_constant_load_neither_integrate_nor_linalg(state):
+    assert "scipy.integrate" not in state["count_law"]
+    assert "scipy.linalg" not in state["count_law"]
+
+
+def test_tanh_sinh_reaches_the_deferred_import(state):
+    assert state["tanh_sinh"] == pytest.approx(1.718281828459045, rel=1e-12)
+    assert "scipy.integrate" in state["after_tanh_sinh"]

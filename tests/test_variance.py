@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate, linalg, special
 
 from dppstats import (DomainError, EuclideanLevel, HyperbolicLevel,
                       QuadratureConfig, QuadratureFailure, TruncationFailure,
@@ -14,8 +14,8 @@ from dppstats import (DomainError, EuclideanLevel, HyperbolicLevel,
                       variance_euclidean_shirai, variance_hyperbolic,
                       variance_hyperbolic_via_transformed)
 from oracles import (_lens_direct, _lens_transformed, asymptotic_constant_cutoff,
-                     disc_variance_quadrature_lens, ginibre_variance, planar_sector_variance,
-                     tail_rule_zero_exponent)
+                     disc_variance_quadrature_lens, ginibre_variance, kostlan_variance,
+                     planar_sector_variance, tail_rule_zero_exponent)
 
 DISC_ROUTES = (variance_hyperbolic, variance_hyperbolic_via_transformed)
 
@@ -79,6 +79,22 @@ class TestEuclideanRoutes:
         for route in PLANAR_ROUTES:
             res = route(EuclideanLevel(0), r)
             assert abs(res.value - ref) <= res.error_estimate + 1e-13 * ref
+
+    def test_kostlan_sum_within_error_bars(self):
+        # the error once left out the rounding of the quadrature sum; the
+        # value missed Kostlan's sum by up to 2.4 error bars
+        for r in np.linspace(0.05, 12.0, 60).tolist():
+            ref = kostlan_variance(r)
+            for route in PLANAR_ROUTES:
+                res = route(EuclideanLevel(0), r)
+                assert abs(res.value - ref) <= res.error_estimate
+
+    def test_unreachable_tolerance_raises(self):
+        # the quadrature meets rel_tol 1e-14 here; its rounding bound does not
+        quad = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300)
+        for route in PLANAR_ROUTES:
+            with pytest.raises(QuadratureFailure, match="planar variance"):
+                route(EuclideanLevel(0), 0.5, quad)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("r", [0.5, 2.0, 6.0])
@@ -472,13 +488,22 @@ class TestTailRule:
         np.testing.assert_allclose(y, (beta * (1.0 - x) / 2.0)[::-1], rtol=1e-13)
         np.testing.assert_allclose(v, (wx / wx.sum())[::-1], rtol=1e-13)
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8, 20, 60])
     @pytest.mark.parametrize("beta", [0.02, 0.5, 1.0, 3.3, 1e3, 1e12, 2e300])
     def test_zero_exponent_keeps_its_rule(self, m, beta):
         y, w = variance._tail_rule(m, beta)
         y0, w0 = tail_rule_zero_exponent(m, beta)
         np.testing.assert_allclose(y, y0, rtol=2.0 * EPS, atol=0.0)
         np.testing.assert_allclose(w, w0, rtol=2.0 * EPS, atol=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 20, 60])
+    @pytest.mark.parametrize("beta", [0.6, 1.0, 2.5, 40.0, 1e3, 1e12, 2e300])
+    def test_half_exponent_matches_tridiagonal_solver(self, m, beta):
+        # the library solves the dense matrix; scipy's solver takes the two diagonals
+        y, v = variance._tail_rule(m, beta, -0.5)
+        y0, vectors = linalg.eigh_tridiagonal(*variance._tail_jacobi(m, beta, -0.5))
+        np.testing.assert_allclose(y, y0, rtol=2.0 * EPS, atol=0.0)
+        np.testing.assert_allclose(v, vectors[0] ** 2, rtol=2.0 * EPS, atol=0.0)
 
     @pytest.mark.parametrize("a", [0.0, -0.5])
     @pytest.mark.parametrize("m", [0, 1, 3, 6])
