@@ -6,7 +6,8 @@ asymptotics, and the exact Poisson-binomial count law of the lowest disc level.
 
 from .counting import (BernoulliProfile, CountDistribution, binomial_moment,
                        binomial_moments, build_profile, distribution,
-                       generating_function, sample_counts, variance_series)
+                       generating_function, sample_counts, sample_distribution,
+                       variance_series)
 from .exceptions import DomainError, QuadratureFailure, TruncationFailure
 from .geometry import (ImageDisc, LensIntegralResult,
                        euclidean_lens_complement_area, hyperbolic_distance,
@@ -59,6 +60,7 @@ __all__ = [
     "laguerre",
     "mobius",
     "sample_counts",
+    "sample_distribution",
     "variance_euclidean_geometric",
     "variance_euclidean_shirai",
     "variance_hyperbolic",

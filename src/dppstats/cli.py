@@ -29,7 +29,7 @@ import tempfile
 import click
 import numpy as np
 
-from .counting import build_profile, distribution, generating_function, sample_counts
+from .counting import build_profile, distribution, generating_function, sample_distribution
 from .exceptions import DomainError, QuadratureFailure, TruncationFailure
 from .kernels import EuclideanLevel, HyperbolicLevel
 from .quadrature import QuadratureConfig
@@ -237,7 +237,7 @@ def distribution_cmd(nu, r, epsilon, s_values, samples, seed, fmt, output):
     law = distribution(profile)
     hist = None
     if samples > 0:
-        hist = _guarded(sample_counts, profile, seed, samples)
+        hist = _guarded(sample_distribution, law, seed, samples)
     gen_rows = [(s, _guarded(generating_function, profile, s)) for s in s_values]
     if fmt == "csv":
         header = ["n", "probability"] + (["sample_count"] if hist is not None else [])

@@ -34,7 +34,9 @@ word i of a Philox stream, in blocks of at most min(chunk, 2^18) words, and
 its top 53 bits are located among the integer thresholds ceil(F_k 2^53) of
 the pmf's CDF F, which decides every draw exactly as the uniform u < F_k of
 ``Generator.random`` would.  The sampled law is within a few J eps of the
-Bernoulli model's in Kolmogorov distance.
+Bernoulli model's in Kolmogorov distance.  The sampler also takes a law
+already built (:func:`sample_distribution`), so a caller that reports the
+pmf builds it once.
 """
 
 from __future__ import annotations
@@ -274,25 +276,32 @@ def _cdf_thresholds(pmf: np.ndarray) -> np.ndarray:
 
 def sample_counts(profile: BernoulliProfile, seed: int, n_samples: int,
                   chunk: int = 20000) -> np.ndarray:
-    """Histogram of ``n_samples`` independent draws of the count.
+    """Histogram of ``n_samples`` independent draws of the count:
+    :func:`sample_distribution` of the profile's :func:`distribution`."""
+    return sample_distribution(distribution(profile), seed, n_samples, chunk)
 
-    Inverse-CDF sampling of the :func:`distribution` pmf, driven by the
-    counter-based Philox generator keyed by ``seed``: draw i consumes raw
-    word i of the stream, so results are bit-identical across runs, chunk
-    sizes and platforms, and a parallel caller can reproduce any draw by
-    jumping the counter.  With F_k = (pmf_0 + ... + pmf_k) / sum(pmf), the
-    draw is the number of F_k at or below u = (w >> 11) 2^-53.  u is never
-    formed: F_k <= u holds exactly when ceil(F_k 2^53) <= w >> 11, so the
-    histogram equals that of ``Generator.random()`` compared with F.  The
-    sampled law is within a few J eps of the Bernoulli model's in
-    Kolmogorov distance.  Each block holds at most min(chunk, 2^18) words
-    (2 MB).  Returns integer counts over {0, ..., J}.
+
+def sample_distribution(law: CountDistribution, seed: int, n_samples: int,
+                        chunk: int = 20000) -> np.ndarray:
+    """Histogram of ``n_samples`` independent draws from a built count law.
+
+    Inverse-CDF sampling of ``law.pmf``, driven by the counter-based Philox
+    generator keyed by ``seed``: draw i consumes raw word i of the stream,
+    so results are bit-identical across runs, chunk sizes and platforms,
+    and a parallel caller can reproduce any draw by jumping the counter.
+    With F_k = (pmf_0 + ... + pmf_k) / sum(pmf), the draw is the number of
+    F_k at or below u = (w >> 11) 2^-53.  u is never formed: F_k <= u holds
+    exactly when ceil(F_k 2^53) <= w >> 11, so the histogram equals that of
+    ``Generator.random()`` compared with F.  The sampled law is within a
+    few J eps of the Bernoulli model's in Kolmogorov distance.  Each block
+    holds at most min(chunk, 2^18) words (2 MB).  Returns integer counts
+    over {0, ..., J}.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     if seed < 0 or seed != int(seed):
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
-    pmf = distribution(profile).pmf
+    pmf = law.pmf
     thresholds = _cdf_thresholds(pmf)
     rows = max(1, min(chunk, _SAMPLE_BLOCK_WORDS))
     bits = np.random.Philox(np.random.SeedSequence(int(seed)))

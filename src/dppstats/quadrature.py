@@ -21,8 +21,12 @@ each scheme.  It integrates a family of integrands, one per row, each over
 its own limits, such as the pieces of one interval.  Its integrand sees a
 (rows x nodes) matrix of nodes together with the row indices, so per-row
 parameters broadcast as ``params[rows]``.  Under ``gauss_legendre_fixed``
-every row doubles its order on its own and leaves the active set as soon
-as it passes the acceptance test; ``tanh_sinh`` makes one vectorized
+every row doubles its order on its own, from 64 nodes up to 8192, and
+leaves the active set as soon as it passes the acceptance test; the first
+comparison, 64 against 128 nodes, takes one integrand call on the
+concatenated nodes of both rules, and each later doubling one more.
+Each row reports the largest rule it summed, which sizes the callers'
+rounding bounds.  ``tanh_sinh`` makes one vectorized
 :func:`scipy.integrate.tanhsinh` call with array limits; and
 ``adaptive_gauss_kronrod`` runs one QUADPACK call per row, because QUADPACK
 is scalar.  No single integrand call sees more than ``_NODE_BLOCK`` = 2^20
@@ -30,7 +34,7 @@ nodes (8 MB per array of doubles): the active rows are split into chunks
 that fit.
 
 :func:`integrate_interval` integrates one vectorized callable over [a, b]
-and returns a ``(value, error_estimate)`` pair.  It splits the interval at
+and returns ``(value, error_estimate, nodes)``.  It splits the interval at
 its breakpoints and hands the pieces to :func:`integrate_rows` as rows, so
 the pieces share every integrand call, and raises
 :class:`QuadratureFailure` when the requested tolerance is missed.
@@ -55,19 +59,25 @@ _NODE_BLOCK = 1 << 20
 # its default maxlevel of 10, which integrate_rows passes explicitly
 _TANH_SINH_MAXLEVEL = 10
 _TANH_SINH_LEVEL_NODES = 1 << 13
-# the Gauss-Legendre schedule: 32 nodes per piece, doubled eight times at most
-_GL_FIRST_NODES = 32
-_GL_MAX_NODES = _GL_FIRST_NODES * 2 ** 8
+# the Gauss-Legendre schedule: 64 and 128 nodes per piece in one integrand call,
+# then one call per doubling up to 64 * 2^7 = 8192 nodes
+_GL_FIRST_NODES = 64
+_GL_MAX_NODES = _GL_FIRST_NODES * 2 ** 7
 # subinterval limit of each QUADPACK call
 _QUADPACK_LIMIT = 200
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_leggauss_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, list[slice]]] = {}
 
 
-def _leggauss(n: int):
-    if n not in _leggauss_cache:
-        _leggauss_cache[n] = special.roots_legendre(n)
-    return _leggauss_cache[n]
+def _leggauss(sizes: tuple[int, ...]):
+    """Nodes and weights of the Gauss-Legendre rules of ``sizes`` nodes, concatenated,
+    and the slice of each rule."""
+    if sizes not in _leggauss_cache:
+        x, w = zip(*(special.roots_legendre(n) for n in sizes))
+        edges = np.cumsum((0,) + sizes).tolist()
+        _leggauss_cache[sizes] = (np.concatenate(x), np.concatenate(w),
+                                  [slice(lo, hi) for lo, hi in zip(edges, edges[1:])])
+    return _leggauss_cache[sizes]
 
 
 @dataclass(frozen=True)
@@ -120,13 +130,22 @@ def _row_blocks(rows: np.ndarray, nodes_per_row: int):
         yield rows[start:start + step]
 
 
-def _gauss_legendre_rows_sum(f, rows, mid, half, n):
-    x, w = _leggauss(n)
-    out = np.empty(rows.size)
+def _gauss_legendre_rows_sums(f, rows, mid, half, sizes):
+    """Sums of the Gauss-Legendre rules of ``sizes`` nodes over ``rows``, one row each.
+
+    The rules share one integrand call per block of rows, on their
+    concatenated nodes.  Each row is summed on its own, pairwise, so a
+    row's sum does not depend on how many rows its block holds (a
+    matrix-vector product rounds a row differently when the block is small).
+    Returns a (len(sizes) x rows) array.
+    """
+    x, w, rules = _leggauss(sizes)
+    out = np.empty((len(sizes), rows.size))
     done = 0
-    for block in _row_blocks(rows, n):
-        vals = f(mid[block, None] + half[block, None] * x, block[:, None])
-        out[done:done + block.size] = half[block] * (vals @ w)
+    for block in _row_blocks(rows, x.size):
+        terms = f(mid[block, None] + half[block, None] * x, block[:, None]) * w
+        for i, rule in enumerate(rules):
+            out[i, done:done + block.size] = half[block] * terms[:, rule].sum(axis=-1)
         done += block.size
     return out
 
@@ -134,28 +153,32 @@ def _gauss_legendre_rows_sum(f, rows, mid, half, n):
 def _gauss_legendre_rows(f, a, b, active, abs_tol, rel_tol, n0, n_max):
     """Node-doubling Gauss-Legendre over the ``active`` rows.
 
-    Every row doubles its order on its own, from ``n0`` up to ``n_max``
-    nodes, and leaves the active set once the difference between its last
-    two refinements passes :func:`_within_tol`.  That difference is the
-    row's error estimate, conservative for smooth integrands; a row that
-    runs out of nodes keeps its last refinement, unconverged.  Rows outside
-    ``active`` stay (0, 0, True).
+    Every row doubles its order on its own, from ``n0`` up to ``n_max`` >=
+    2 ``n0`` nodes, and leaves the active set once the difference between
+    its last two refinements passes :func:`_within_tol`.  That difference is
+    the row's error estimate, conservative for smooth integrands; a row that
+    runs out of nodes keeps its last refinement, unconverged.  The first
+    comparison, ``n0`` against 2 ``n0`` nodes, takes one integrand call;
+    every later doubling takes one more.  Returns ``(value, error,
+    converged, nodes)``, ``nodes`` the largest rule each row summed; rows
+    outside ``active`` stay (0, 0, True, 0).
     """
     value = np.zeros(a.size)
     err = np.zeros(a.size)
     converged = np.ones(a.size, dtype=bool)
+    nodes = np.zeros(a.size, dtype=int)
     half, mid = 0.5 * (b - a), 0.5 * (b + a)
-    prev = _gauss_legendre_rows_sum(f, active, mid, half, n0)
-    value[active], err[active], converged[active] = prev, np.inf, False
+    prev, cur = _gauss_legendre_rows_sums(f, active, mid, half, (n0, 2 * n0))
     n = 2 * n0
-    while n <= n_max and active.size:
-        cur = _gauss_legendre_rows_sum(f, active, mid, half, n)
+    while True:
         step_err = np.abs(cur - prev)
         ok = _within_tol(step_err, cur, abs_tol, rel_tol)
-        value[active], err[active], converged[active] = cur, step_err, ok
+        value[active], err[active], converged[active], nodes[active] = cur, step_err, ok, n
         active, prev = active[~ok], cur[~ok]
         n *= 2
-    return value, err, converged
+        if n > n_max or not active.size:
+            return value, err, converged, nodes
+        cur, = _gauss_legendre_rows_sums(f, active, mid, half, (n,))
 
 
 def integrate_rows(f, a, b, config: QuadratureConfig):
@@ -168,9 +191,13 @@ def integrate_rows(f, a, b, config: QuadratureConfig):
     integrand values at ``x``, row k using the parameters of row k.  The
     rows are independent, batched as described in the module docstring.
 
-    Returns ``(value, error_estimate, converged)`` arrays.  Nothing is
-    raised on non-convergence; the caller decides what a failed row means.
-    Rows with a_k == b_k give (0, 0, True) and are never evaluated.
+    Returns ``(value, error_estimate, converged, nodes)`` arrays.
+    ``nodes`` is the largest rule row k summed under
+    ``gauss_legendre_fixed``; under the other two schemes it is the most
+    nodes one integrand call handed the row (1 for QUADPACK's scalar
+    calls).  Nothing is raised on non-convergence; the caller decides what
+    a failed row means.  Rows with a_k == b_k give (0, 0, True, 0) and are
+    never evaluated.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     a, b = a.ravel(), b.ravel()
@@ -183,6 +210,7 @@ def integrate_rows(f, a, b, config: QuadratureConfig):
     value = np.zeros(a.size)
     err = np.zeros(a.size)
     converged = np.ones(a.size, dtype=bool)
+    nodes = np.zeros(a.size, dtype=int)
     if config.scheme == "adaptive_gauss_kronrod":
         for k in active.tolist():
             v, e = integrate.quad(
@@ -190,16 +218,24 @@ def integrate_rows(f, a, b, config: QuadratureConfig):
                 epsabs=config.abs_tol, epsrel=config.rel_tol,
                 limit=_QUADPACK_LIMIT)
             value[k], err[k], converged[k] = v, e, _kronrod_converged(v, e, config)
-        return value, err, converged
+        nodes[active] = 1
+        return value, err, converged, nodes
     # tanh_sinh: the row index travels as an argument, which scipy subsets
     # and shapes alongside the nodes of the rows still active
     for block in _row_blocks(active, _TANH_SINH_LEVEL_NODES):
+        widths = [0]
+
+        def g(x, k):
+            widths.append(np.shape(x)[-1])
+            return f(x, k.astype(np.intp))
+
         res = integrate.tanhsinh(
-            lambda x, k: f(x, k.astype(np.intp)), a[block], b[block],
+            g, a[block], b[block],
             args=(block.astype(float),), maxlevel=_TANH_SINH_MAXLEVEL,
             atol=config.abs_tol, rtol=config.rel_tol)
         value[block], err[block], converged[block] = res.integral, res.error, res.success
-    return value, err, converged
+        nodes[block] = max(widths)
+    return value, err, converged, nodes
 
 
 def integrate_interval(f, a: float, b: float, config: QuadratureConfig,
@@ -212,12 +248,14 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig,
     the nodes of all pieces still refining.  The pieces are summed in
     order; :class:`QuadratureFailure` is raised at the first prefix that
     has not converged and whose summed error estimate exceeds the
-    tolerance of its summed value.  Returns ``(value, error_estimate)``.
+    tolerance of its summed value.  Returns ``(value, error_estimate,
+    nodes)``, ``nodes`` the largest of the pieces' :func:`integrate_rows`
+    node counts, which sizes a rounding bound.
     """
     if a == b:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0
     cuts = np.array(sorted({a, b, *(p for p in breakpoints if a < p < b)}))
-    values, errs, oks = integrate_rows(lambda x, rows: f(x), cuts[:-1], cuts[1:], config)
+    values, errs, oks, nodes = integrate_rows(lambda x, rows: f(x), cuts[:-1], cuts[1:], config)
     total, err = 0.0, 0.0
     converged = True
     for v, e, ok in zip(values.tolist(), errs.tolist(), oks.tolist()):
@@ -228,4 +266,4 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig,
             raise QuadratureFailure(
                 f"error estimate {err:.3e} exceeds tolerance "
                 f"{config.tolerance(total):.3e} on [{a}, {b}] with {config.scheme}")
-    return total, err
+    return total, err, int(nodes.max())

@@ -60,15 +60,16 @@ def _jacobi_zero_beta_gap(m: int, beta: float, y):
     2 (2k (k - 1 + beta) - beta) - 2 (2k + beta)(2k + beta - 2) y, so no
     beta^2 terms cancel.  Near x = 1 at large beta, where the polynomial
     varies on the scale y ~ 1/beta, the form in x loses about beta eps.
+    Each step is divided through by s t = (2k + beta)(2k + beta - 2), one
+    factor at a time, so no coefficient grows like beta^2 and overflows.
     """
     p = np.ones_like(y)
     if m >= 1:
         prev, p = p, 1.0 - (beta + 2.0) * y
         for k in range(2, m + 1):
-            c1 = 2.0 * k * (k + beta) * (2 * k + beta - 2)
-            c2 = (2 * k + beta - 1) * (2.0 * (2 * k * (k - 1 + beta) - beta)
-                                       - 2.0 * (2 * k + beta) * (2 * k + beta - 2) * y)
-            c3 = 2.0 * (k - 1) * (k + beta - 1) * (2 * k + beta)
+            s, t = 2 * k + beta, 2 * k + beta - 2
+            c1 = 2.0 * k * ((k + beta) / s)
+            c2 = 2.0 * (2 * k + beta - 1) * ((2.0 * k * ((k - 1 + beta) / s) - beta / s) / t - y)
+            c3 = 2.0 * (k - 1) * ((k + beta - 1) / t)
             prev, p = p, (c2 * p - c3 * prev) / c1
     return p
-

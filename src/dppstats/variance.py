@@ -120,8 +120,10 @@ def _variance_planar(level: EuclideanLevel, r: float, quad: QuadratureConfig,
     quadrature stops at sqrt(c), at 3/4 rel_tol, and the rest bound (A <= pi r^2)
     joins the error: max(2/pi abs_tol, 3/4 rel_tol V) + abs_tol/4 <= tolerance(V).
     The error also carries the rounding bound of :func:`_variance_disc`'s quadrature,
-    (2 N + 16) eps times the integral for the largest rule of N nodes, and
-    :class:`QuadratureFailure` is raised if the sum misses the tolerance."""
+    (2 N + 16) eps times the integral, N the largest rule any piece summed as
+    :func:`integrate_interval` reports it (not the width of an integrand call, which
+    holds two rules at once in the first), and :class:`QuadratureFailure` is raised
+    if the sum misses the tolerance."""
     if not (r > 0.0 and math.isfinite(4.0 * r * r)):
         raise DomainError(f"r must be positive with 4 r^2 finite, got {r}")
     n, r2 = level.n, r * r
@@ -133,16 +135,14 @@ def _variance_planar(level: EuclideanLevel, r: float, quad: QuadratureConfig,
     exact = 4.0 * r2 <= c
     rest = r2 * float(_laguerre_tails(n, rule, 4.0 * r2) if exact else cut_tails[bounded[0]])
 
-    rules = []                                   # node count of every rule used
-
     def f(rho):
-        rules.append(rho.shape[-1])
         scaled = np.exp(-0.5 * rho * rho) * special.eval_laguerre(n, rho * rho)  # e^{-t/2} L_n(t)
         return rho * scaled * scaled * _lens_complement(r, rho)   # every node is at most 2r
 
-    value, err = integrate_interval(f, 0.0, min(2.0 * r, math.sqrt(c)),
-                                    quad if exact else replace(quad, rel_tol=0.75 * quad.rel_tol))
-    err += _EPS * (2.0 * max(rules) + 16.0) * value
+    value, err, nodes = integrate_interval(
+        f, 0.0, min(2.0 * r, math.sqrt(c)),
+        quad if exact else replace(quad, rel_tol=0.75 * quad.rel_tol))
+    err += _EPS * (2.0 * nodes + 16.0) * value
     total = 2.0 / math.pi * value + exact * rest
     err_total = 2.0 / math.pi * err + (not exact) * rest
     if not err_total <= quad.tolerance(total):
@@ -260,7 +260,8 @@ def _variance_disc(level: HyperbolicLevel, r: float, quad: QuadratureConfig,
     u = R - w^2, which removes the square-root behaviour of I at the kink
     and hands the lens R - u = w^2 exactly.  Its error is the one that
     :func:`integrate_interval` checked, plus a rounding bound: an n-node
-    Gauss-Legendre rule is good to about 2 n eps relative, u = R - w^2 moves
+    Gauss-Legendre rule is good to about 2 n eps relative (n the largest rule
+    any piece summed, as :func:`integrate_interval` reports it), u = R - w^2 moves
     the peak of the weight by eps R, and the tail's prefactor is an
     exponential.  :class:`QuadratureFailure` is raised if the sum misses
     the tolerance.
@@ -277,19 +278,17 @@ def _variance_disc(level: HyperbolicLevel, r: float, quad: QuadratureConfig,
         raise QuadratureFailure(
             f"u = R - w^2 resolves the weight's peak at u ~ {peak:.3g} only to "
             f"{resolution:.3g} relative at nu={level.nu}, m={level.m}, r={r}")
-    nodes = [0]                                  # largest rule the quadrature used
 
     def f(w):
-        nodes[0] = max(nodes[0], np.shape(w)[-1])
         gap = w * w
         u = R - gap
         return 2.0 * w * _radial_weight(level, u) * _lens_area(R, u, gap)
 
     breakpoints = (math.sqrt(R - peak),) if 8.0 * peak < R else ()
-    value, err = integrate_interval(f, 0.0, math.sqrt(R), quad, breakpoints)
+    value, err, nodes = integrate_interval(f, 0.0, math.sqrt(R), quad, breakpoints)
     log_tail, log_size = _weight_tail(level, R)
     rest = 0.5 * math.pi * math.sinh(0.5 * R) ** 2 * math.exp(log_tail)   # lens_max x tail
-    rounding = (_EPS * (2.0 * nodes[0] + 16.0) + resolution) * value + _EPS * (8.0 + log_size) * rest
+    rounding = (_EPS * (2.0 * nodes + 16.0) + resolution) * value + _EPS * (8.0 + log_size) * rest
     total, err_total = 4.0 * math.pi * (value + rest), 4.0 * math.pi * (err + rounding)
     if not err_total <= quad.tolerance(total):
         raise QuadratureFailure(
@@ -333,14 +332,13 @@ def asymptotic_constant(level: HyperbolicLevel,
     with (z_k, v_k) from :func:`_tail_rule` at (beta + 1/2, a = -1/2): (m + 1)^2
     positive terms, summed exactly.  At m = 0, C = 1/B(beta, 1/2); always
     C <= beta = 2 (nu - m) - 1.  :class:`QuadratureFailure` if a rounding
-    bound misses ``quad.tolerance(C)`` or the Jacobi recurrence overflows
-    (beta past about 1e154 at m >= 2).
+    bound misses ``quad.tolerance(C)`` or the sum is not finite and positive.
     """
     beta, m = level.beta, level.m
     tau, w = _tail_rule(m, beta)
     z, v = _tail_rule(m, beta + 0.5, -0.5)
     z, tau = (z / (beta + 0.5))[:, None], tau / beta
-    with np.errstate(all="ignore"):   # an overflowing recurrence makes every P 0, inf or nan
+    with np.errstate(all="ignore"):   # a P^2 past DBL_MAX makes the sum inf, raised below
         p = _jacobi_zero_beta_gap(m, beta, z + tau - z * tau)
         total = float(v @ (p * p) @ w)
     # -log B(beta, 1/2): scipy's betaln differences lgammas past beta = 171 and loses up

@@ -332,7 +332,7 @@ def _lens_direct(r: float, u_z: np.ndarray, quad: QuadratureConfig):
         return 2.0 * w * (acos * np.sinh(u) * cosh_u)
 
     w_mid = np.tile(np.sqrt(0.5 * span), 2)
-    v, e, ok = integrate_rows(integrand, 0.0, w_mid, quad)
+    v, e, ok, _ = integrate_rows(integrand, 0.0, w_mid, quad)
     n = live.size
     value[live] = v[:n] + v[n:]
     err[live] = e[:n] + e[n:]
@@ -388,7 +388,7 @@ def _lens_transformed(r: float, u_z: np.ndarray, quad: QuadratureConfig):
         s2 = np.sin(u) ** 2
         return term_outer / (1.0 - v_rate * s2) + term_gap / (1.0 + u_rate * s2)
 
-    v, e, ok = integrate_rows(rational, 0.0, u_max, quad)
+    v, e, ok, _ = integrate_rows(rational, 0.0, u_max, quad)
     # the boundary term at t = r, active when z < 2r/(1+r^2) == tanh(2 u_r)
     arg = np.minimum(1.0, z * (1.0 + r * r) / (2.0 * r))
     boundary = np.where(u_z < 2.0 * u_r, np.arccos(arg) / (1.0 - r * r), 0.0)
@@ -424,19 +424,18 @@ def disc_variance_quadrature_lens(level, r: float, lens=_lens_direct,
     R = 2.0 * math.atanh(r)
     inner = replace(quad, rel_tol=max(quad.rel_tol * 1e-2, 1e-13),
                     abs_tol=max(quad.abs_tol * 1e-2, 1e-14))
-    inner_err_sup, nodes = [0.0], [0]
+    inner_err_sup = [0.0]
 
     def outer(w):
-        nodes[0] = max(nodes[0], np.shape(w)[-1])
         flat = np.ravel(w)
         weight = 2.0 * flat * _radial_weight(level, R - flat * flat)
         value, err, _ = lens(r, R - flat * flat, inner)
         inner_err_sup[0] = max(inner_err_sup[0], float(np.max(weight * err, initial=0.0)))
         return (weight * value).reshape(np.shape(w))
 
-    value, err = integrate_interval(outer, 0.0, math.sqrt(R), quad)
+    value, err, nodes = integrate_interval(outer, 0.0, math.sqrt(R), quad)
     rest = 0.5 * math.pi * math.sinh(0.5 * R) ** 2 * math.exp(_weight_tail(level, R)[0])
-    rounding = 2.0 * nodes[0] * np.finfo(float).eps * value
+    rounding = 2.0 * nodes * np.finfo(float).eps * value
     return (4.0 * math.pi * (value + rest),
             4.0 * math.pi * (err + math.sqrt(R) * inner_err_sup[0] + rounding))
 
@@ -477,7 +476,7 @@ def asymptotic_constant_cutoff(level, quad: QuadratureConfig = DEFAULT_QUAD) -> 
 
     U, _ = _radial_cutoff(level, envelope, quad.abs_tol)
     peak = 8.0 * math.sqrt((m + 1) / beta)
-    value, _ = integrate_interval(outer, 0.0, U, quad, (peak,) if 8.0 * peak < U else ())
+    value, _, _ = integrate_interval(outer, 0.0, U, quad, (peak,) if 8.0 * peak < U else ())
     return 2.0 * math.pi * (value + math.pi * math.exp(_weight_tail(level, U)[0]))
 
 

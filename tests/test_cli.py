@@ -161,6 +161,23 @@ class TestDistributionCommand:
         h2 = json.loads(runner.invoke(cli, args).output)["samples"]["histogram"]
         assert h1 == h2
 
+    def test_sampling_builds_the_pmf_once(self, runner, monkeypatch):
+        from dppstats import cli as cli_module, counting
+
+        real, builds = counting.distribution, []
+
+        def counted(profile):
+            builds.append(profile.truncation)
+            return real(profile)
+
+        monkeypatch.setattr(counting, "distribution", counted)
+        monkeypatch.setattr(cli_module, "distribution", counted)
+        args = ["distribution", "--nu", "2", "--r", "0.95", "--samples", "5000",
+                "--seed", "3", "--format", "json"]
+        payload = json.loads(runner.invoke(cli, args).output)
+        assert len(builds) == 1
+        assert sum(payload["samples"]["histogram"]) == 5000
+
     def test_invalid_radius_exits_2(self, runner):
         result = runner.invoke(cli, ["distribution", "--nu", "1", "--r", "1.0"])
         assert result.exit_code == 2

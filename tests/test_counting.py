@@ -10,7 +10,8 @@ from scipy import special
 from dppstats import (BernoulliProfile, DomainError, HyperbolicLevel,
                       TruncationFailure, binomial_moment, binomial_moments,
                       build_profile, distribution, generating_function,
-                      sample_counts, variance_hyperbolic, variance_series)
+                      sample_counts, sample_distribution, variance_hyperbolic,
+                      variance_series)
 from dppstats import counting
 from oracles import (incomplete_beta, incomplete_beta_ratio, inverse_cdf_histogram,
                      profile_tail, sequential_pmf, tail_sum_mismatch)
@@ -537,6 +538,17 @@ class TestSampling:
         assert np.array_equal(
             sample_counts(profile, seed, n, chunk=chunk),
             inverse_cdf_histogram(distribution(profile).pmf, seed, n, chunk=oracle_chunk))
+
+    @pytest.mark.parametrize("profile", SAMPLER_PROFILES, ids=SAMPLER_PROFILE_IDS)
+    def test_built_law_gives_the_same_stream(self, profile):
+        law = distribution(profile)
+        for seed, n, chunk in [(0, 700, 20000), (12345, 700, 33)]:
+            assert np.array_equal(sample_distribution(law, seed, n, chunk),
+                                  sample_counts(profile, seed, n, chunk))
+        with pytest.raises(DomainError):
+            sample_distribution(law, 0, 0)
+        with pytest.raises(DomainError):
+            sample_distribution(law, -1, 5)
 
     def test_requires_samples(self):
         profile = build_profile(1.0, 0.5)

@@ -65,24 +65,24 @@ class TestIntegrateInterval:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_polynomial(self, scheme):
         cfg = QuadratureConfig(scheme=scheme, rel_tol=1e-11, abs_tol=1e-13)
-        val, err = integrate_interval(lambda x: x * x, 0.0, 1.0, cfg)
+        val, err, _ = integrate_interval(lambda x: x * x, 0.0, 1.0, cfg)
         assert val == pytest.approx(1.0 / 3.0, rel=1e-10)
         assert err >= 0.0
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_sine_with_breakpoint(self, scheme):
         cfg = QuadratureConfig(scheme=scheme, rel_tol=1e-11, abs_tol=1e-13)
-        val, _ = integrate_interval(np.sin, 0.0, math.pi, cfg, breakpoints=(1.0,))
+        val, _, _ = integrate_interval(np.sin, 0.0, math.pi, cfg, breakpoints=(1.0,))
         assert val == pytest.approx(2.0, rel=1e-10)
 
     def test_kinked_integrand_with_breakpoint(self):
         cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13)
-        val, _ = integrate_interval(lambda x: np.abs(x - 0.5), 0.0, 1.0, cfg,
-                                    breakpoints=(0.5,))
+        val, _, _ = integrate_interval(lambda x: np.abs(x - 0.5), 0.0, 1.0, cfg,
+                                       breakpoints=(0.5,))
         assert val == pytest.approx(0.25, rel=1e-12)
 
     def test_empty_interval(self):
-        assert integrate_interval(np.sin, 1.0, 1.0, QuadratureConfig()) == (0.0, 0.0)
+        assert integrate_interval(np.sin, 1.0, 1.0, QuadratureConfig()) == (0.0, 0.0, 0)
 
     def test_strict_failure_raises(self, small_budget):
         # integrable endpoint-interior singularity defeats plain Gauss-Legendre
@@ -101,26 +101,31 @@ class TestIntegrateInterval:
         def f(x):
             return np.where(x < 1.0, 1e-3 / np.sqrt(np.abs(x - 0.3)), 1e3)
 
-        val, err, ok = integrate_rows(lambda x, rows: f(x), np.array([0.0, 1.0]),
-                                      np.array([1.0, 2.0]), cfg)
+        val, err, ok, _ = integrate_rows(lambda x, rows: f(x), np.array([0.0, 1.0]),
+                                         np.array([1.0, 2.0]), cfg)
         assert not ok[0] and ok[1]
         assert cfg.tolerance(val[0]) < err[0] and err.sum() < cfg.tolerance(val.sum())
         with pytest.raises(QuadratureFailure, match=r"exceeds tolerance .* on \[0.0, 2.0\]"):
             integrate_interval(f, 0.0, 2.0, cfg, breakpoints=(1.0,))
 
     def test_pieces_share_one_call_per_doubling_level(self):
-        # three pieces of sqrt(x + 0.01): the first, nearest the branch point,
-        # refines longest; each level is one call holding every active piece
+        # three pieces of sqrt(x + a) + sqrt(3 + b - x): the end pieces, near the
+        # branch points, refine past the first pair of rules (64 and 128 nodes,
+        # one call), the first longest; each level is one call holding every
+        # active piece
         calls = []
+        a, b = 3e-4, 3e-3
 
         def f(x):
             calls.append(np.shape(x))
-            return np.sqrt(x + 0.01)
+            return np.sqrt(x + a) + np.sqrt(3.0 + b - x)
 
         cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
-        val, _ = integrate_interval(f, 0.0, 3.0, cfg, breakpoints=(2.0, 1.0, 5.0))
-        assert val == pytest.approx(2.0 / 3.0 * (3.01 ** 1.5 - 0.01 ** 1.5), rel=1e-12)
-        assert calls == [(3, 32), (3, 64), (1, 128)]
+        val, _, nodes = integrate_interval(f, 0.0, 3.0, cfg, breakpoints=(2.0, 1.0, 5.0))
+        exact = 2.0 / 3.0 * ((3.0 + a) ** 1.5 - a ** 1.5 + (3.0 + b) ** 1.5 - b ** 1.5)
+        assert val == pytest.approx(exact, rel=1e-12)
+        assert calls == [(3, 192), (2, 256), (1, 512)]
+        assert nodes == 512
 
 
 class TestIntegrateRows:
@@ -129,10 +134,10 @@ class TestIntegrateRows:
         cfg = QuadratureConfig(scheme=scheme, rel_tol=1e-11, abs_tol=1e-13)
         freq = np.array([1.0, 2.0, 5.0, 9.0])
         hi = np.array([0.5, 1.0, 2.0, 3.0])
-        val, err, ok = integrate_rows(lambda x, k: np.sin(freq[k] * x), 0.0, hi, cfg)
+        val, err, ok, _ = integrate_rows(lambda x, k: np.sin(freq[k] * x), 0.0, hi, cfg)
         assert ok.all() and (err >= 0.0).all()
         for k in range(freq.size):
-            ref, _ = integrate_interval(lambda x: np.sin(freq[k] * x), 0.0, hi[k], cfg)
+            ref, _, _ = integrate_interval(lambda x: np.sin(freq[k] * x), 0.0, hi[k], cfg)
             assert val[k] == pytest.approx(ref, rel=1e-10)
             assert val[k] == pytest.approx((1 - math.cos(freq[k] * hi[k])) / freq[k],
                                            rel=1e-10)
@@ -143,8 +148,8 @@ class TestIntegrateRows:
         small_budget(32, 256)
         cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
         shift = np.array([1e-4, 0.3, 1.0])
-        val, err, ok = integrate_rows(lambda x, k: 1.0 / (x + shift[k]), 0.0,
-                                     np.ones(shift.size), cfg)
+        val, err, ok, _ = integrate_rows(lambda x, k: 1.0 / (x + shift[k]), 0.0,
+                                         np.ones(shift.size), cfg)
         for k in range(shift.size):
             v, e, c = scalar_gauss_legendre_doubling(
                 lambda x: 1.0 / (x + shift[k]), 0.0, 1.0, cfg.abs_tol, cfg.rel_tol,
@@ -155,8 +160,9 @@ class TestIntegrateRows:
         assert not ok[0] and ok[2]                 # the nearly singular row runs out
 
     def test_converged_row_leaves_the_active_set(self):
-        # row 0 (a cubic) converges at the first comparison, 32 against 64
-        # nodes; row 1 keeps doubling and must not drag row 0 along
+        # row 0 (a cubic) converges at the first comparison, 64 against 128
+        # nodes in one call of 192; row 1 keeps doubling and must not drag
+        # row 0 along
         seen = []
 
         def f(x, rows):
@@ -164,11 +170,42 @@ class TestIntegrateRows:
             return np.where(rows == 0, x ** 3, np.sqrt(x + 1e-3))
 
         cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
-        val, _, ok = integrate_rows(f, 0.0, np.ones(2), cfg)
+        val, _, ok, nodes = integrate_rows(f, 0.0, np.ones(2), cfg)
         assert ok[0] and val[0] == pytest.approx(0.25, rel=1e-14)
-        assert {n for n, rows in seen if 0 in rows} == {32, 64}
-        assert max(n for n, rows in seen if 1 in rows) > 64
-        assert all(rows == [1] for n, rows in seen if n > 64)
+        assert seen == [(192, [0, 1]), (256, [1])]
+        assert nodes.tolist() == [128, 256]
+
+    def test_first_call_holds_the_first_two_rules(self):
+        # the sums of the one call on the concatenated 64 + 128 nodes equal
+        # those of separate 64- and 128-node calls, bit for bit
+        shift = np.array([1e-3, 0.3, 2.0])
+        rows, mid, half = np.arange(shift.size), np.full(shift.size, 0.5), np.full(shift.size, 0.5)
+
+        def f(x, k):
+            return 1.0 / (x + shift[k])
+
+        merged = quadrature._gauss_legendre_rows_sums(f, rows, mid, half, (64, 128))
+        for i, n in enumerate((64, 128)):
+            alone, = quadrature._gauss_legendre_rows_sums(f, rows, mid, half, (n,))
+            np.testing.assert_array_equal(merged[i], alone)
+
+    def test_default_schedule_follows_the_scalar_doubling(self):
+        # the merged first call changes no value, error or flag of the one-call-
+        # per-order reference at the default schedule
+        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
+        shift = np.array([1e-3, 1e-2, 0.3, 1.0])
+        val, err, ok, _ = integrate_rows(lambda x, k: 1.0 / (x + shift[k]), 0.0,
+                                         np.ones(shift.size), cfg)
+        for k in range(shift.size):
+            v, e, c = scalar_gauss_legendre_doubling(
+                lambda x: 1.0 / (x + shift[k]), 0.0, 1.0, cfg.abs_tol, cfg.rel_tol,
+                quadrature._GL_FIRST_NODES, quadrature._GL_MAX_NODES)
+            # the error is a difference of two sums, each rounded a few ulps
+            # apart from the reference's dot products
+            assert val[k] == pytest.approx(v, rel=1e-14)
+            assert err[k] == pytest.approx(e, rel=1e-6, abs=1e-14 * abs(v))
+            assert ok[k] == c
+        assert ok.all()
 
     def test_empty_rows_are_zero_and_never_evaluated(self):
         seen = []
@@ -177,10 +214,10 @@ class TestIntegrateRows:
             seen.extend(np.ravel(rows).tolist())
             return np.ones_like(x)
 
-        val, err, ok = integrate_rows(f, np.array([0.0, 1.0, 2.0]),
-                                      np.array([0.0, 2.0, 2.0]), QuadratureConfig())
+        val, err, ok, nodes = integrate_rows(f, np.array([0.0, 1.0, 2.0]),
+                                             np.array([0.0, 2.0, 2.0]), QuadratureConfig())
         assert val.tolist() == [0.0, 1.0, 0.0] and err[0] == err[2] == 0.0
-        assert ok.all() and set(seen) == {1}
+        assert ok.all() and set(seen) == {1} and nodes.tolist() == [0, 128, 0]
 
     def test_node_block_caps_every_call(self, monkeypatch):
         cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
@@ -195,14 +232,15 @@ class TestIntegrateRows:
 
             return integrate_rows(f, 0.0, np.full(scale.size, 3.0), cfg), sizes
 
-        (val, err, ok), sizes = run()
+        (val, err, ok, nodes), sizes = run()
         assert max(sizes) > 512
         monkeypatch.setattr(quadrature, "_NODE_BLOCK", 512)
-        (val_c, err_c, ok_c), sizes_c = run()
+        (val_c, err_c, ok_c, nodes_c), sizes_c = run()
         assert max(sizes_c) <= 512 and len(sizes_c) > len(sizes)
         np.testing.assert_array_equal(val_c, val)
         np.testing.assert_array_equal(err_c, err)
         np.testing.assert_array_equal(ok_c, ok)
+        np.testing.assert_array_equal(nodes_c, nodes)
 
     def test_acceptance_test_matches_max_form(self):
         for err, value in [(1e-12, 0.0), (2e-12, 1e-3), (1e-9, 1.0), (1.1e-9, 1.0),

@@ -259,11 +259,19 @@ class TestAsymptoticConstant:
         with pytest.raises(QuadratureFailure, match="rounding"):
             asymptotic_constant(HyperbolicLevel(1.0, 0), quad)
 
+    @pytest.mark.parametrize("m, limit", [(2, 145 / 64), (3, 687 / 256)])
     @pytest.mark.parametrize("nu", [1e160, 1e300])
-    def test_overflowing_recurrence_raises(self, nu):
-        # the coefficients of the Jacobi recurrence pass DBL_MAX at m >= 2
-        with pytest.raises(QuadratureFailure):
-            asymptotic_constant(HyperbolicLevel(nu, 2))
+    def test_huge_beta_meets_its_limit(self, nu, m, limit):
+        # C / sqrt(beta/pi) has reached its beta -> oo limit by nu = 1e150; past
+        # 1e154 the products of two coefficients of the Jacobi recurrence would
+        # pass DBL_MAX
+        def scaled(nu):
+            level = HyperbolicLevel(nu, m)
+            return asymptotic_constant(level) / math.sqrt(level.beta / math.pi)
+
+        reference = scaled(1e150)
+        assert reference == pytest.approx(limit, abs=1e-12)
+        assert scaled(nu) == pytest.approx(reference, abs=1e-12)
 
     def test_self_consistency_at_high_radius(self):
         level = HyperbolicLevel(2.0, 0)
