@@ -23,9 +23,10 @@ indices it adds.  A profile build takes milliseconds even at
 r = 0.999 for every nu up to 6, where J ~ 3e4, and J may reach 2^18.
 
 The pmf is a product tree.  The J factors (1 - p_j + p_j z) are cut into
-blocks of L = max(32, isqrt(2J)); one recurrence over L steps expands all
-blocks at once, and neighbouring block polynomials are then multiplied
-pairwise by direct convolution, their exact zeros at both ends trimmed.
+blocks of L = max(32, isqrt(2J)), or one block when J < 32; one recurrence
+over L steps expands all blocks at once, and neighbouring block polynomials
+are then multiplied pairwise by direct convolution, their exact zeros at
+both ends trimmed.
 Every term is a product and sum of non-negative numbers, so each pmf entry
 that is a normal double keeps a relative error of order J eps; no FFT is
 used, whose absolute error of eps times the largest entry would swamp the
@@ -189,11 +190,12 @@ def distribution(profile: BernoulliProfile) -> CountDistribution:
     """Exact Poisson-binomial pmf of the count over {0, ..., J}.
 
     The product of the J factors (1 - p_j) + p_j z, as a product tree: the
-    factors are cut into blocks of L = max(32, isqrt(2J)), the last padded
-    with p = 0 (the factor 1), and all blocks are expanded together by the
-    sequential recurrence, one vector step per factor.  The block
-    polynomials are then multiplied pairwise by direct convolution until
-    one is left, trimming exact zeros at both ends after each product.
+    factors are cut into blocks of L = max(32, isqrt(2J)) (one block of L = J
+    when J < 32), the last padded with p = 0 (the factor 1), and all blocks
+    are expanded together by the sequential recurrence, one vector step per
+    factor.  The block polynomials are then multiplied pairwise by direct
+    convolution until one is left, trimming exact zeros at both ends after
+    each product.
     All terms are non-negative, so every entry at or above the smallest
     normal double is within a few J eps relative of the exact product of
     the rounded p_j; trimming changes no value.  For J <= 32 this is the
@@ -202,7 +204,7 @@ def distribution(profile: BernoulliProfile) -> CountDistribution:
     """
     p = profile.probabilities
     J = p.size
-    L = max(_PMF_BLOCK, math.isqrt(2 * J))
+    L = min(max(J, 1), max(_PMF_BLOCK, math.isqrt(2 * J)))
     nb = max(1, -(-J // L))
     probs = np.zeros(nb * L)                   # p = 0 pads: the factor [1, 0]
     probs[:J] = p

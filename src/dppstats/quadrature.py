@@ -1,43 +1,33 @@
 """One-dimensional quadrature engines with error estimates.
 
-Three schemes sit behind :class:`QuadratureConfig`:
+Three schemes sit behind :class:`QuadratureConfig`: ``gauss_legendre_fixed``,
+node-doubling composite Gauss-Legendre, the default;
+``adaptive_gauss_kronrod``, QUADPACK's adaptive routine
+(:func:`scipy.integrate.quad`); and ``tanh_sinh``, the double-exponential
+rule (:func:`scipy.integrate.tanhsinh`).  The callers in this package
+integrate smooth pieces (endpoint singularities are removed by
+substitutions first), so Gauss-Legendre converges spectrally.  It needs
+nothing from :mod:`scipy.integrate`, whose import pulls in scipy.optimize
+and scipy.sparse; the other two schemes import it on first use.
 
-* ``gauss_legendre_fixed``   -- node-doubling composite Gauss-Legendre,
-  the default,
-* ``adaptive_gauss_kronrod`` -- QUADPACK's adaptive Gauss-Kronrod driver
-  (:func:`scipy.integrate.quad`),
-* ``tanh_sinh``              -- double-exponential rule
-  (:func:`scipy.integrate.tanhsinh`).
+There is one Gauss-Legendre implementation, :func:`_gauss_legendre`.  It
+integrates one integrand per row, each over its own non-empty limits, such
+as the pieces of one interval, on a (rows x nodes) matrix of nodes; the
+integrand also sees the row indices as a column, so per-row parameters
+broadcast as ``params[rows]``.  Every row doubles its order on its own,
+from 64 nodes up to 8192, and leaves the active set once it passes the
+acceptance test.  The first comparison, 64 against 128 nodes, is one call
+on every row and the nodes of both rules; each later doubling is one call
+on the rows still active.  Each row reports the largest rule it summed,
+which sizes the callers' rounding bounds.  No integrand call sees more
+than ``_NODE_BLOCK`` = 2^20 nodes (8 MB per array of doubles).
 
-The callers in this package always integrate smooth pieces (endpoint
-singularities are removed by explicit substitutions before the engines are
-invoked), so the node-doubling Gauss-Legendre scheme converges spectrally
-and is the default.  It needs nothing from :mod:`scipy.integrate`, whose
-import pulls in scipy.optimize and scipy.sparse; the other two schemes
-import it on first use.
-
-There is one engine, :func:`integrate_rows`, with one implementation of
-each scheme.  It integrates a family of integrands, one per row, each over
-its own limits, such as the pieces of one interval.  Its integrand sees a
-(rows x nodes) matrix of nodes together with the row indices, so per-row
-parameters broadcast as ``params[rows]``.  Under ``gauss_legendre_fixed``
-every row doubles its order on its own, from 64 nodes up to 8192, and
-leaves the active set as soon as it passes the acceptance test; the first
-comparison, 64 against 128 nodes, takes one integrand call on the
-concatenated nodes of both rules, and each later doubling one more.
-Each row reports the largest rule it summed, which sizes the callers'
-rounding bounds.  ``tanh_sinh`` makes one vectorized
-:func:`scipy.integrate.tanhsinh` call with array limits; and
-``adaptive_gauss_kronrod`` runs one QUADPACK call per row, because QUADPACK
-is scalar.  No single integrand call sees more than ``_NODE_BLOCK`` = 2^20
-nodes (8 MB per array of doubles): the active rows are split into chunks
-that fit.
-
-:func:`integrate_interval` integrates one vectorized callable over [a, b]
-and returns ``(value, error_estimate, nodes)``.  It splits the interval at
-its breakpoints and hands the pieces to :func:`integrate_rows` as rows, so
-the pieces share every integrand call, and raises
-:class:`QuadratureFailure` when the requested tolerance is missed.
+:func:`integrate_interval` integrates one callable from a to b as its
+breakpoint pieces, the rows of one :func:`_gauss_legendre` call, and
+raises :class:`QuadratureFailure` when the tolerance is missed.
+:func:`integrate_rows`, the public row interface, skips empty rows and
+hands the rest to :func:`_gauss_legendre`, to one vectorized tanh-sinh
+call, or to one QUADPACK call per row, because QUADPACK is scalar.
 """
 
 from __future__ import annotations
@@ -52,8 +42,7 @@ from .exceptions import QuadratureFailure
 
 SCHEMES = ("adaptive_gauss_kronrod", "gauss_legendre_fixed", "tanh_sinh")
 
-# most nodes one (rows x nodes) integrand call of integrate_rows may see:
-# 2^20 doubles, 8 MB per array
+# most nodes one (rows x nodes) integrand call may see: 2^20 doubles, 8 MB per array
 _NODE_BLOCK = 1 << 20
 # scipy's tanh-sinh rule evaluates at most 2^13 nodes per row and level at
 # its default maxlevel of 10, which integrate_rows passes explicitly
@@ -119,66 +108,65 @@ def _kronrod_converged(value, err, config: QuadratureConfig) -> bool:
     return err <= config.tolerance(value) * 10.0
 
 
-def _row_blocks(rows: np.ndarray, nodes_per_row: int):
-    """Consecutive chunks of ``rows`` holding at most _NODE_BLOCK nodes each.
+def _row_blocks(count: int, nodes_per_row: int):
+    """Consecutive slices of ``count`` rows holding at most _NODE_BLOCK nodes each.
 
     A single row is never split, so a row with more nodes than the block
-    forms a chunk of its own.
+    forms a slice of its own.
     """
     step = max(1, _NODE_BLOCK // nodes_per_row)
-    for start in range(0, rows.size, step):
-        yield rows[start:start + step]
+    for start in range(0, count, step):
+        yield slice(start, start + step)
 
 
-def _gauss_legendre_rows_sums(f, rows, mid, half, sizes):
-    """Sums of the Gauss-Legendre rules of ``sizes`` nodes over ``rows``, one row each.
+def _gauss_legendre_sums(f, rows, mid, half, sizes):
+    """Sums of the Gauss-Legendre rules of ``sizes`` nodes, one row of ``mid``, ``half`` each.
 
-    The rules share one integrand call per block of rows, on their
-    concatenated nodes.  Each row is summed on its own, pairwise, so a
-    row's sum does not depend on how many rows its block holds (a
-    matrix-vector product rounds a row differently when the block is small).
-    Returns a (len(sizes) x rows) array.
+    The rules share one integrand call ``f(x, rows[:, None])`` on their
+    concatenated nodes, split into the blocks of :func:`_row_blocks` only
+    when the rows hold more than _NODE_BLOCK nodes.  Each row is summed on
+    its own, pairwise, so a row's sum does not depend on how many rows its
+    block holds (a matrix-vector product rounds a row differently when the
+    block is small).  Returns ``len(sizes)`` arrays over the rows.
     """
     x, w, rules = _leggauss(sizes)
-    out = np.empty((len(sizes), rows.size))
-    done = 0
-    for block in _row_blocks(rows, x.size):
-        terms = f(mid[block, None] + half[block, None] * x, block[:, None]) * w
-        for i, rule in enumerate(rules):
-            out[i, done:done + block.size] = half[block] * terms[:, rule].sum(axis=-1)
-        done += block.size
-    return out
+    if rows.size > max(1, _NODE_BLOCK // x.size):
+        out = np.empty((len(sizes), rows.size))
+        for block in _row_blocks(rows.size, x.size):
+            out[:, block] = _gauss_legendre_sums(f, rows[block], mid[block], half[block], sizes)
+        return out
+    terms = f(mid[:, None] + half[:, None] * x, rows[:, None]) * w
+    return [half * terms[:, rule].sum(axis=-1) for rule in rules]
 
 
-def _gauss_legendre_rows(f, a, b, active, abs_tol, rel_tol, n0, n_max):
-    """Node-doubling Gauss-Legendre over the ``active`` rows.
+def _gauss_legendre(f, a, b, abs_tol, rel_tol):
+    """Node-doubling Gauss-Legendre over the rows [a_k, b_k], none of them empty.
 
-    Every row doubles its order on its own, from ``n0`` up to ``n_max`` >=
-    2 ``n0`` nodes, and leaves the active set once the difference between
-    its last two refinements passes :func:`_within_tol`.  That difference is
-    the row's error estimate, conservative for smooth integrands; a row that
+    ``f(x, rows)`` sees the nodes and the indices into ``a`` of their rows.
+    Every row doubles its order on its own, from _GL_FIRST_NODES up to
+    _GL_MAX_NODES, and leaves the active set once the difference between its
+    last two refinements passes :func:`_within_tol`.  That difference is the
+    row's error estimate, conservative for smooth integrands; a row that
     runs out of nodes keeps its last refinement, unconverged.  The first
-    comparison, ``n0`` against 2 ``n0`` nodes, takes one integrand call;
-    every later doubling takes one more.  Returns ``(value, error,
-    converged, nodes)``, ``nodes`` the largest rule each row summed; rows
-    outside ``active`` stay (0, 0, True, 0).
+    comparison takes one integrand call on every row; every later doubling
+    takes one more on the rows still active.  Returns ``(value, error,
+    converged, nodes)``, ``nodes`` the largest rule each row summed.
     """
-    value = np.zeros(a.size)
-    err = np.zeros(a.size)
-    converged = np.ones(a.size, dtype=bool)
-    nodes = np.zeros(a.size, dtype=int)
+    n = 2 * _GL_FIRST_NODES
     half, mid = 0.5 * (b - a), 0.5 * (b + a)
-    prev, cur = _gauss_legendre_rows_sums(f, active, mid, half, (n0, 2 * n0))
-    n = 2 * n0
+    value, err, nodes = np.empty(a.size), np.empty(a.size), np.empty(a.size, dtype=int)
+    converged = np.empty(a.size, dtype=bool)
+    rows = np.arange(a.size)
+    prev, cur = _gauss_legendre_sums(f, rows, mid, half, (_GL_FIRST_NODES, n))
     while True:
         step_err = np.abs(cur - prev)
         ok = _within_tol(step_err, cur, abs_tol, rel_tol)
-        value[active], err[active], converged[active], nodes[active] = cur, step_err, ok, n
-        active, prev = active[~ok], cur[~ok]
+        value[rows], err[rows], converged[rows], nodes[rows] = cur, step_err, ok, n
         n *= 2
-        if n > n_max or not active.size:
+        if ok.all() or n > _GL_MAX_NODES:
             return value, err, converged, nodes
-        cur, = _gauss_legendre_rows_sums(f, active, mid, half, (n,))
+        rows, prev = rows[~ok], cur[~ok]
+        cur, = _gauss_legendre_sums(f, rows, mid[rows], half[rows], (n,))
 
 
 def integrate_rows(f, a, b, config: QuadratureConfig):
@@ -202,15 +190,18 @@ def integrate_rows(f, a, b, config: QuadratureConfig):
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     a, b = a.ravel(), b.ravel()
     active = np.flatnonzero(a != b)
-    if config.scheme == "gauss_legendre_fixed":
-        return _gauss_legendre_rows(f, a, b, active, config.abs_tol, config.rel_tol,
-                                    _GL_FIRST_NODES, _GL_MAX_NODES)
-    from scipy import integrate     # the default scheme never loads scipy.integrate
-
     value = np.zeros(a.size)
     err = np.zeros(a.size)
     converged = np.ones(a.size, dtype=bool)
     nodes = np.zeros(a.size, dtype=int)
+    if config.scheme == "gauss_legendre_fixed":
+        if active.size:
+            value[active], err[active], converged[active], nodes[active] = _gauss_legendre(
+                lambda x, rows: f(x, active[rows]), a[active], b[active],
+                config.abs_tol, config.rel_tol)
+        return value, err, converged, nodes
+    from scipy import integrate     # the default scheme never loads scipy.integrate
+
     if config.scheme == "adaptive_gauss_kronrod":
         for k in active.tolist():
             v, e = integrate.quad(
@@ -222,7 +213,8 @@ def integrate_rows(f, a, b, config: QuadratureConfig):
         return value, err, converged, nodes
     # tanh_sinh: the row index travels as an argument, which scipy subsets
     # and shapes alongside the nodes of the rows still active
-    for block in _row_blocks(active, _TANH_SINH_LEVEL_NODES):
+    for block in _row_blocks(active.size, _TANH_SINH_LEVEL_NODES):
+        block = active[block]
         widths = [0]
 
         def g(x, k):
@@ -240,29 +232,36 @@ def integrate_rows(f, a, b, config: QuadratureConfig):
 
 def integrate_interval(f, a: float, b: float, config: QuadratureConfig,
                        breakpoints=()):
-    """Integrate a vectorized callable over [a, b] under ``config``.
+    """Integrate a vectorized callable from a to b under ``config``.
 
     ``breakpoints`` are interior points where the integrand is continuous
-    but not smooth; the interval is split there, and the pieces are the
-    rows of one :func:`integrate_rows` call, so every integrand call sees
-    the nodes of all pieces still refining.  The pieces are summed in
-    order; :class:`QuadratureFailure` is raised at the first prefix that
-    has not converged and whose summed error estimate exceeds the
-    tolerance of its summed value.  Returns ``(value, error_estimate,
-    nodes)``, ``nodes`` the largest of the pieces' :func:`integrate_rows`
-    node counts, which sizes a rounding bound.
+    but not smooth; the interval is split there, and the pieces, ordered
+    from a to b, are the rows of one Gauss-Legendre doubling (one
+    :func:`integrate_rows` call under the other schemes), so every
+    integrand call sees the nodes of all pieces still refining.  The value
+    is signed: b < a gives minus the integral from b to a.  The pieces are
+    summed in order; :class:`QuadratureFailure` is raised at the first
+    prefix that has not converged and whose summed error estimate is not
+    within the tolerance of its summed value (a nan estimate never is).
+    Returns ``(value, error_estimate, nodes)``, ``nodes`` the largest rule
+    any piece summed, which sizes a rounding bound.
     """
     if a == b:
         return 0.0, 0.0, 0
-    cuts = np.array(sorted({a, b, *(p for p in breakpoints if a < p < b)}))
-    values, errs, oks, nodes = integrate_rows(lambda x, rows: f(x), cuts[:-1], cuts[1:], config)
+    lo, hi = min(a, b), max(a, b)
+    cuts = sorted({a, b, *(p for p in breakpoints if lo < p < hi)}, reverse=bool(b < a))
+    pieces = (lambda x, rows: f(x), np.array(cuts[:-1]), np.array(cuts[1:]))
+    if config.scheme == "gauss_legendre_fixed":
+        values, errs, oks, nodes = _gauss_legendre(*pieces, config.abs_tol, config.rel_tol)
+    else:
+        values, errs, oks, nodes = integrate_rows(*pieces, config)
     total, err = 0.0, 0.0
     converged = True
     for v, e, ok in zip(values.tolist(), errs.tolist(), oks.tolist()):
         total += v
         err += e
         converged = converged and ok
-        if not converged and err > config.tolerance(total):
+        if not converged and not err <= config.tolerance(total):
             raise QuadratureFailure(
                 f"error estimate {err:.3e} exceeds tolerance "
                 f"{config.tolerance(total):.3e} on [{a}, {b}] with {config.scheme}")

@@ -84,6 +84,32 @@ class TestIntegrateInterval:
     def test_empty_interval(self):
         assert integrate_interval(np.sin, 1.0, 1.0, QuadratureConfig()) == (0.0, 0.0, 0)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("breakpoints", [(), (0.25,)])
+    def test_reversed_interval_is_signed(self, scheme, breakpoints):
+        # from 1 to 0 is minus the integral from 0 to 1, as for a row of integrate_rows
+        cfg = QuadratureConfig(scheme=scheme, rel_tol=1e-11, abs_tol=1e-13)
+        val, err, _ = integrate_interval(lambda x: x, 1.0, 0.0, cfg, breakpoints)
+        assert val == pytest.approx(-0.5, rel=1e-12) and err >= 0.0
+        row, _, _, _ = integrate_rows(lambda x, rows: x, 1.0, 0.0, cfg)
+        assert row[0] == pytest.approx(-0.5, rel=1e-12)
+        forward, _, _ = integrate_interval(lambda x: x, 0.0, 1.0, cfg, breakpoints)
+        assert val == -forward
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_raises(self, small_budget, a, b):
+        # a nan estimate is never within tolerance: the call raises, it does not
+        # hand the nan back
+        small_budget(8, 64)
+
+        def f(x):
+            return np.where(x > 0.7, np.nan, x)
+
+        with pytest.raises(QuadratureFailure, match="nan exceeds"):
+            integrate_interval(f, a, b, QuadratureConfig())
+        with pytest.raises(QuadratureFailure, match="nan exceeds"):
+            integrate_interval(f, a, b, QuadratureConfig(), breakpoints=(0.5,))
+
     def test_strict_failure_raises(self, small_budget):
         # integrable endpoint-interior singularity defeats plain Gauss-Legendre
         small_budget(8, 64)
@@ -126,6 +152,32 @@ class TestIntegrateInterval:
         assert val == pytest.approx(exact, rel=1e-12)
         assert calls == [(3, 192), (2, 256), (1, 512)]
         assert nodes == 512
+
+    def test_pieces_sum_as_rows_of_integrate_rows(self):
+        # one engine: each piece's value, error and rule through integrate_rows,
+        # bit for bit, and their prefix sums make the interval's result
+        def f(x):
+            return np.sqrt(x + 3e-4) + np.cos(3.0 * x)
+
+        seen = []
+        real = quadrature._gauss_legendre
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
+        cuts = np.array([0.0, 1.0, 2.0, 3.0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_gauss_legendre", spy)
+            val, err, nodes = integrate_interval(f, 0.0, 3.0, cfg, breakpoints=(2.0, 1.0))
+        (pieces, piece_errs, _, piece_nodes), = seen
+        rows = integrate_rows(lambda x, k: f(x), cuts[:-1], cuts[1:], cfg)
+        for got, want in zip(rows, seen[0]):
+            np.testing.assert_array_equal(got, want)
+        assert (val, err) == (pieces[0] + pieces[1] + pieces[2],
+                              piece_errs[0] + piece_errs[1] + piece_errs[2])
+        assert nodes == piece_nodes.max() and rows[2].all()
 
 
 class TestIntegrateRows:
@@ -184,9 +236,9 @@ class TestIntegrateRows:
         def f(x, k):
             return 1.0 / (x + shift[k])
 
-        merged = quadrature._gauss_legendre_rows_sums(f, rows, mid, half, (64, 128))
+        merged = quadrature._gauss_legendre_sums(f, rows, mid, half, (64, 128))
         for i, n in enumerate((64, 128)):
-            alone, = quadrature._gauss_legendre_rows_sums(f, rows, mid, half, (n,))
+            alone, = quadrature._gauss_legendre_sums(f, rows, mid, half, (n,))
             np.testing.assert_array_equal(merged[i], alone)
 
     def test_default_schedule_follows_the_scalar_doubling(self):
@@ -241,6 +293,28 @@ class TestIntegrateRows:
         np.testing.assert_array_equal(err_c, err)
         np.testing.assert_array_equal(ok_c, ok)
         np.testing.assert_array_equal(nodes_c, nodes)
+
+    def test_row_wider_than_the_block_is_called_alone(self, monkeypatch):
+        # a row is never split: with a block smaller than one row's nodes,
+        # every call holds one whole row and the sums do not move
+        shift = np.array([0.5, 1.0, 2.0])
+
+        def run():
+            shapes = []
+
+            def f(x, rows):
+                shapes.append(x.shape)
+                return 1.0 / (x + shift[rows])
+
+            return integrate_rows(f, 0.0, np.full(3, 4.0), QuadratureConfig()), shapes
+
+        whole, shapes = run()
+        assert shapes[0] == (3, 192)
+        monkeypatch.setattr(quadrature, "_NODE_BLOCK", 100)
+        alone, shapes = run()
+        assert shapes[:3] == [(1, 192)] * 3 and all(s[0] == 1 for s in shapes)
+        for got, want in zip(alone, whole):
+            np.testing.assert_array_equal(got, want)
 
     def test_acceptance_test_matches_max_form(self):
         for err, value in [(1e-12, 0.0), (2e-12, 1e-3), (1e-9, 1.0), (1.1e-9, 1.0),

@@ -249,8 +249,9 @@ class TestAsymptoticConstant:
 
     def test_makes_no_quadrature_call(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("asymptotic_constant called integrate_rows")
+            raise AssertionError("asymptotic_constant called a quadrature")
 
+        monkeypatch.setattr(quadrature, "_gauss_legendre", forbidden)
         monkeypatch.setattr(quadrature, "integrate_rows", forbidden)
         assert asymptotic_constant(HyperbolicLevel(3.5, 2)) == pytest.approx(669 / 512)
 
@@ -408,20 +409,20 @@ class TestDiscOracles:
     """The one disc computation against the series and the quadrature-lens oracle."""
 
     def test_one_quadrature_and_no_lens_quadrature(self, monkeypatch):
-        # the lens is a closed form: a disc variance makes one integrate_rows
+        # the lens is a closed form: a disc variance makes one Gauss-Legendre
         # call, and its integrand sees every piece's nodes at once
         calls, shapes = [], []
-        real = quadrature.integrate_rows
+        real = quadrature._gauss_legendre
 
-        def counted(f, a, b, config):
+        def counted(f, a, b, abs_tol, rel_tol):
             calls.append(np.size(a))
 
             def g(x, rows):
                 shapes.append(np.shape(x))
                 return f(x, rows)
-            return real(g, a, b, config)
+            return real(g, a, b, abs_tol, rel_tol)
 
-        monkeypatch.setattr(quadrature, "integrate_rows", counted)
+        monkeypatch.setattr(quadrature, "_gauss_legendre", counted)
         res = variance_hyperbolic(HyperbolicLevel(1.0, 0), 0.9)
         assert res.value == pytest.approx(peres_virag(0.9), rel=1e-12)
         assert calls == [1] and 0 < len(shapes) <= 9
