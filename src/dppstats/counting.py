@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .exceptions import DomainError, TruncationFailure
 
@@ -136,6 +135,7 @@ def build_profile(nu: float, r: float, epsilon: float = 1e-12) -> BernoulliProfi
         raise DomainError(f"r must lie in (0, 1), got {r}")
     if not 0.0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
+    import scipy.special as special   # its betainc; the disc routes run without scipy
     x = r * r
     b = 2.0 * nu - 1.0
     blocks, start, n = [], 0, min(_FIRST_BLOCK, _HARD_CAP)

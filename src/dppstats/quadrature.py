@@ -20,7 +20,9 @@ acceptance test.  The first comparison, 64 against 128 nodes, is one call
 on every row and the nodes of both rules; each later doubling is one call
 on the rows still active.  Each row reports the largest rule it summed,
 which sizes the callers' rounding bounds.  No integrand call sees more
-than ``_NODE_BLOCK`` = 2^20 nodes (8 MB per array of doubles).
+than ``_NODE_BLOCK`` = 2^20 nodes (8 MB per array of doubles).  The rules
+are the package's own (:func:`_legendre_rule`, Newton's method on the
+Legendre recurrence), built with numpy alone and cached per call shape.
 
 :func:`integrate_interval` integrates one callable from a to b as its
 breakpoint pieces, the rows of one :func:`_gauss_legendre` call, and
@@ -36,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .exceptions import QuadratureFailure
 
@@ -55,14 +56,53 @@ _GL_MAX_NODES = _GL_FIRST_NODES * 2 ** 7
 # subinterval limit of each QUADPACK call
 _QUADPACK_LIMIT = 200
 
+_EPS = float(np.finfo(float).eps)
+
 _leggauss_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, list[slice]]] = {}
+
+
+def _legendre_rule(n: int):
+    """Nodes, ascending, and weights of the n-node Gauss-Legendre rule, n even.
+
+    Newton's method on P_n(cos theta) from Tricomi's nodes (Hale & Townsend,
+    SIAM J. Sci. Comput. 35 (2013)) for the nodes in (0, 1), mirrored.  The
+    recurrence runs on P_k and P_k - P_{k-1} in t = 1 - x = 2 sin^2(theta/2),
+    accurate near x = 1, and the weight is 2 / (dP_n(cos theta)/dtheta)^2.  A
+    node stops once its step is within an ulp of theta or no longer halves.
+    The middle pair of weights then moves by ulps until numpy's pairwise sum
+    of the weights, which only grows with the pair, is 2.
+    """
+    k = np.arange(1.0, n // 2 + 1.0)
+    phi = (4.0 * k - 1.0) * math.pi / (4.0 * n + 2.0)
+    theta = phi + (n - 1.0) / (8.0 * n ** 3) / np.tan(phi)
+    slope = np.empty_like(theta)
+    active, last = np.arange(theta.size), np.inf
+    while active.size:
+        th = theta[active]
+        t = 2.0 * np.sin(0.5 * th) ** 2
+        p, d = 1.0 - t, -t
+        for j in range(1, n):
+            d = (j * d - (2 * j + 1) * t * p) / (j + 1)
+            p = p + d
+        slope[active] = n * (d - t * p) / np.sin(th)
+        step = p / slope[active]
+        theta[active] = th - step
+        step = np.abs(step)
+        keep = (step > _EPS * th) & (step < 0.5 * last)
+        active, last = active[keep], step[keep]
+    x, w = np.cos(theta), 2.0 / slope ** 2
+    x, w = np.concatenate((-x, x[::-1])), np.concatenate((w, w[::-1]))
+    h, up = n // 2, w.sum() < 2.0
+    while w.sum() != 2.0 and (w.sum() < 2.0) == up:
+        w[h - 1:h + 1] = np.nextafter(w[h], np.inf if up else 0.0)
+    return x, w
 
 
 def _leggauss(sizes: tuple[int, ...]):
     """Nodes and weights of the Gauss-Legendre rules of ``sizes`` nodes, concatenated,
     and the slice of each rule."""
     if sizes not in _leggauss_cache:
-        x, w = zip(*(special.roots_legendre(n) for n in sizes))
+        x, w = zip(*(_legendre_rule(n) for n in sizes))
         edges = np.cumsum((0,) + sizes).tolist()
         _leggauss_cache[sizes] = (np.concatenate(x), np.concatenate(w),
                                   [slice(lo, hi) for lo, hi in zip(edges, edges[1:])])
@@ -235,29 +275,31 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig,
     """Integrate a vectorized callable from a to b under ``config``.
 
     ``breakpoints`` are interior points where the integrand is continuous
-    but not smooth; the interval is split there, and the pieces, ordered
-    from a to b, are the rows of one Gauss-Legendre doubling (one
+    but not smooth; the interval is split there, and the pieces, in
+    increasing order, are the rows of one Gauss-Legendre doubling (one
     :func:`integrate_rows` call under the other schemes), so every
     integrand call sees the nodes of all pieces still refining.  The value
-    is signed: b < a gives minus the integral from b to a.  The pieces are
-    summed in order; :class:`QuadratureFailure` is raised at the first
-    prefix that has not converged and whose summed error estimate is not
-    within the tolerance of its summed value (a nan estimate never is).
-    Returns ``(value, error_estimate, nodes)``, ``nodes`` the largest rule
-    any piece summed, which sizes a rounding bound.
+    is signed: b < a gives exactly minus the integral from b to a, whose
+    pieces it integrates and sums.  Taking the pieces in order from a,
+    :class:`QuadratureFailure` is raised at the first prefix that has not
+    converged and whose summed error estimate is not within the tolerance
+    of its summed value (a nan estimate never is).  Returns ``(value,
+    error_estimate, nodes)``, ``nodes`` the largest rule any piece summed,
+    which sizes a rounding bound.
     """
     if a == b:
         return 0.0, 0.0, 0
     lo, hi = min(a, b), max(a, b)
-    cuts = sorted({a, b, *(p for p in breakpoints if lo < p < hi)}, reverse=bool(b < a))
+    cuts = sorted({a, b, *(p for p in breakpoints if lo < p < hi)})
     pieces = (lambda x, rows: f(x), np.array(cuts[:-1]), np.array(cuts[1:]))
     if config.scheme == "gauss_legendre_fixed":
         values, errs, oks, nodes = _gauss_legendre(*pieces, config.abs_tol, config.rel_tol)
     else:
         values, errs, oks, nodes = integrate_rows(*pieces, config)
+    from_a = list(zip(values.tolist(), errs.tolist(), oks.tolist()))[::-1 if b < a else 1]
     total, err = 0.0, 0.0
     converged = True
-    for v, e, ok in zip(values.tolist(), errs.tolist(), oks.tolist()):
+    for v, e, ok in from_a:
         total += v
         err += e
         converged = converged and ok
@@ -265,4 +307,6 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig,
             raise QuadratureFailure(
                 f"error estimate {err:.3e} exceeds tolerance "
                 f"{config.tolerance(total):.3e} on [{a}, {b}] with {config.scheme}")
+    if b < a:   # minus the sums of the forward interval, in its order
+        total, err = -float(np.cumsum(values)[-1]), float(np.cumsum(errs)[-1])
     return total, err, int(nodes.max())

@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .exceptions import DomainError, QuadratureFailure, TruncationFailure
 from .geometry import _lens_area, _lens_complement
@@ -93,6 +92,7 @@ _MAX_CUT = 1400.0
 def _laguerre_tails(n: int, rule, cuts):
     """int_c^inf L_n(t)^2 e^{-t} dt at each cut c by the (n + 1)-point Gauss-Laguerre
     rule (nodes, root weights): exact for degree 2n, every term positive."""
+    import scipy.special as special   # the planar route's only; the disc routes run without scipy
     cuts = np.asarray(cuts, dtype=float)[..., None]
     terms = rule[1] * np.exp(-0.5 * cuts) * special.eval_laguerre(n, cuts + rule[0])
     return np.sum(terms * terms, axis=-1)
@@ -102,6 +102,7 @@ def _laguerre_tails(n: int, rule, cuts):
 def _laguerre_rule(n: int):
     """The rule, the cuts and the tails at them, cached per level.  The rule must keep its
     orthonormality sum w L_n(s)^2 = 1, lost near n = 190; then |L_n| < 1e240 wherever used."""
+    import scipy.special as special
     with np.errstate(all="ignore"):     # a rule that overflows fails the check below
         nodes, weights = special.roots_laguerre(n + 1)
         rule = nodes, np.sqrt(weights)
@@ -124,6 +125,7 @@ def _variance_planar(level: EuclideanLevel, r: float, quad: QuadratureConfig,
     :func:`integrate_interval` reports it (not the width of an integrand call, which
     holds two rules at once in the first), and :class:`QuadratureFailure` is raised
     if the sum misses the tolerance."""
+    import scipy.special as special   # once per call: its C eval_laguerre runs in the integrand
     if not (r > 0.0 and math.isfinite(4.0 * r * r)):
         raise DomainError(f"r must be positive with 4 r^2 finite, got {r}")
     n, r2 = level.n, r * r
@@ -168,8 +170,8 @@ def variance_euclidean_geometric(level: EuclideanLevel, r: float,
 def _check_weight_envelope(level: HyperbolicLevel) -> None:
     """:class:`QuadratureFailure` if (beta/pi)^2 max |P_m^{(0, beta)}|^2, the
     largest factors of the radial weight, overflow a double."""
-    # max |P_m| = (beta + 1)_m / m!, by betaln: a difference of lgammas cancels at large beta
-    log_pmax = -special.betaln(level.beta + 1.0, level.m + 1.0) - math.log(level.beta + level.m + 1.0)
+    # max |P_m| = (beta + 1)_m / m! = prod_{i <= m} (1 + beta / i), summed as logs
+    log_pmax = math.fsum(math.log1p(level.beta / i) for i in range(1, level.m + 1))
     log_envelope = 2.0 * (math.log(level.beta / math.pi) + log_pmax)
     if log_envelope > _LOG_HUGE:
         raise QuadratureFailure(
@@ -259,9 +261,10 @@ def _variance_disc(level: HyperbolicLevel, r: float, quad: QuadratureConfig,
     the second integral is :func:`_weight_tail`.  The first runs in
     u = R - w^2, which removes the square-root behaviour of I at the kink
     and hands the lens R - u = w^2 exactly.  Its error is the one that
-    :func:`integrate_interval` checked, plus a rounding bound: an n-node
-    Gauss-Legendre rule is good to about 2 n eps relative (n the largest rule
-    any piece summed, as :func:`integrate_interval` reports it), u = R - w^2 moves
+    :func:`integrate_interval` checked, plus a rounding bound: (2 n + 16) eps
+    relative for an n-node Gauss-Legendre rule, which the package's rules meet
+    (n the largest rule any piece summed, as :func:`integrate_interval`
+    reports it), u = R - w^2 moves
     the peak of the weight by eps R, and the tail's prefactor is an
     exponential.  :class:`QuadratureFailure` is raised if the sum misses
     the tolerance.
@@ -344,8 +347,11 @@ def asymptotic_constant(level: HyperbolicLevel,
     # -log B(beta, 1/2): scipy's betaln differences lgammas past beta = 171 and loses up
     # to 2e-9 there, so larger beta take Stirling's series, next term below 1.2e-3 beta^-7
     b2 = beta * beta
-    parts = ((-special.betaln(beta, 0.5),) if beta <= 100.0 else
-             (0.5 * math.log(beta / math.pi), (-0.125 + (1 / 192 - 1 / (640 * b2)) / b2) / beta))
+    if beta <= 100.0:
+        import scipy.special as special
+        parts = (-special.betaln(beta, 0.5),)
+    else:
+        parts = (0.5 * math.log(beta / math.pi), (-0.125 + (1 / 192 - 1 / (640 * b2)) / b2) / beta)
     value = math.exp(sum(parts)) * total
     rounding = _EPS * (16.0 * (m + 1) ** 2 + sum(abs(x) for x in parts)) * value
     if not (0.0 < value < math.inf and rounding <= quad.tolerance(value)):

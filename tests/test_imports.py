@@ -1,9 +1,10 @@
 """What ``import dppstats.cli`` loads, checked in a fresh interpreter.
 
-The default path imports neither scipy.integrate (with scipy.optimize and
-scipy.sparse behind it) nor scipy.linalg; the count law and the limit
-constant run without them, and the other quadrature schemes import
-scipy.integrate when first used.
+The import and the disc variance load no scipy module at all: the
+Gauss-Legendre rules are the package's own.  The count law and the limit
+constant load scipy.special on first use but neither scipy.integrate (with
+scipy.optimize and scipy.sparse behind it) nor scipy.linalg, and the other
+quadrature schemes import scipy.integrate when first used.
 """
 
 import json
@@ -17,16 +18,19 @@ SCRIPT = """
 import json, sys
 
 def loaded():
-    return sorted(m for m in ("scipy.integrate", "scipy.optimize", "scipy.sparse",
-                              "scipy.linalg") if m in sys.modules)
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 import dppstats.cli
 from dppstats import (HyperbolicLevel, QuadratureConfig, asymptotic_constant,
-                      build_profile, distribution, generating_function, sample_counts)
+                      build_profile, distribution, generating_function, sample_counts,
+                      variance_hyperbolic, variance_hyperbolic_via_transformed)
 from dppstats.quadrature import integrate_interval
 import numpy as np
 
 state = {"import": loaded()}
+variance_hyperbolic(HyperbolicLevel(1.0, 0), 0.5)
+variance_hyperbolic_via_transformed(HyperbolicLevel(5.3, 2), 0.99)
+state["disc"] = loaded()
 profile = build_profile(nu=1.5, r=0.7)
 distribution(profile)
 generating_function(profile, 0.5)
@@ -49,6 +53,10 @@ def state():
 
 def test_cli_import_loads_no_heavy_scipy_module(state):
     assert state["import"] == []
+
+
+def test_disc_variance_loads_no_scipy_module(state):
+    assert state["disc"] == []
 
 
 def test_count_law_and_limit_constant_load_neither_integrate_nor_linalg(state):

@@ -3,26 +3,29 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
 
 from dppstats import QuadratureConfig, QuadratureFailure
 from dppstats import quadrature
 from dppstats.quadrature import SCHEMES, integrate_interval, integrate_rows
 
+EPS = float(np.finfo(float).eps)
+
 
 def scalar_gauss_legendre_doubling(f, a, b, abs_tol, rel_tol, n0, n_max):
     """Reference: node-doubling Gauss-Legendre on one interval, one call per order.
 
+    It takes its rules from the package's ``_leggauss``, one rule per call, so
+    it checks the doubling schedule and the acceptance test, not the rules.
     Returns (value, error_estimate, converged); the estimate is the
     difference between the last two refinements.
     """
     half, mid = 0.5 * (b - a), 0.5 * (b + a)
-    x, w = special.roots_legendre(n0)
+    x, w, _ = quadrature._leggauss((n0,))
     prev = half * float(np.dot(w, f(mid + half * x)))
     n = 2 * n0
     err = math.inf
     while n <= n_max:
-        x, w = special.roots_legendre(n)
+        x, w, _ = quadrature._leggauss((n,))
         cur = half * float(np.dot(w, f(mid + half * x)))
         err = abs(cur - prev)
         if err <= max(abs_tol, rel_tol * abs(cur)):
@@ -95,6 +98,19 @@ class TestIntegrateInterval:
         assert row[0] == pytest.approx(-0.5, rel=1e-12)
         forward, _, _ = integrate_interval(lambda x: x, 0.0, 1.0, cfg, breakpoints)
         assert val == -forward
+
+    @pytest.mark.parametrize("f", [lambda x: x, np.exp, np.sin, lambda x: np.sqrt(x + 1.1),
+                                   lambda x: 1.0 / (1.5 - x)],
+                             ids=["x", "exp", "sin", "sqrt", "pole"])
+    @pytest.mark.parametrize("cuts", [0, 1, 2])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 0.5), (0.3, 1.4)])
+    def test_reversed_interval_is_the_negated_forward_one(self, f, cuts, a, b):
+        # bit for bit, value, error and rule: the reversed interval sums the
+        # pieces of the forward one (summing the mirrored nodes missed by an ulp)
+        breakpoints = (a + 0.3 * (b - a), a + 0.7 * (b - a))[:cuts]
+        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
+        val, err, nodes = integrate_interval(f, a, b, cfg, breakpoints)
+        assert integrate_interval(f, b, a, cfg, breakpoints) == (-val, err, nodes)
 
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (math.nan, 1.0), (0.0, math.nan)])
     def test_nan_raises(self, small_budget, a, b):
@@ -323,3 +339,34 @@ class TestIntegrateRows:
             assert bool(quadrature._within_tol(err, value, 1e-12, 1e-9)) == expected
             assert quadrature._within_tol(np.array([err]), np.array([value]),
                                           1e-12, 1e-9)[0] == expected
+
+
+class TestLegendreRule:
+    """The package's own Gauss-Legendre rules, against exact integrals."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
+    def test_mirrored_and_summing_to_two(self, n):
+        x, w = quadrature._legendre_rule(n)
+        assert x.shape == w.shape == (n,)
+        assert (np.diff(x) > 0.0).all() and -1.0 < x[0] and x[-1] < 1.0 and (w > 0.0).all()
+        np.testing.assert_array_equal(x, -x[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+        # numpy's pairwise sum, the one a constant integrand sees
+        assert w.sum() == 2.0
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
+    def test_high_powers_within_the_rounding_allowance(self, n):
+        # x^(2n - 2) is the highest even power the rule integrates exactly; its
+        # mass sits at the outermost nodes, where the weights are hardest.  The
+        # callers' rounding bound is (2n + 16) eps relative
+        x, w = quadrature._legendre_rule(n)
+        for p in (n, 2 * n - 2):
+            exact = 2.0 / (p + 1)
+            assert abs(float(np.sum(w * x ** p)) - exact) <= (2 * n + 16) * EPS * exact
+
+    def test_rules_are_cached_per_call_shape(self):
+        x, w, rules = quadrature._leggauss((64, 128))
+        assert quadrature._leggauss((64, 128))[0] is x
+        for rule, n in zip(rules, (64, 128)):
+            np.testing.assert_array_equal(x[rule], quadrature._legendre_rule(n)[0])
+            np.testing.assert_array_equal(w[rule], quadrature._legendre_rule(n)[1])

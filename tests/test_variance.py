@@ -89,6 +89,14 @@ class TestEuclideanRoutes:
                 res = route(EuclideanLevel(0), r)
                 assert abs(res.value - ref) <= res.error_estimate
 
+    def test_ginibre_closed_form_to_rounding(self):
+        # the value, not only its error bar: with scipy's Gauss-Legendre nodes the
+        # median error was 2.2e-14, about n eps for the 128-node rule
+        errors = [abs(variance_euclidean_shirai(EuclideanLevel(0), r).value
+                      - ginibre_variance(r)) / ginibre_variance(r)
+                  for r in np.linspace(0.05, 12.0, 120).tolist()]
+        assert np.median(errors) <= 1e-15
+
     def test_unreachable_tolerance_raises(self):
         # the quadrature meets rel_tol 1e-14 here; its rounding bound does not
         quad = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300)
@@ -143,6 +151,14 @@ class TestHyperbolicVariance:
     def test_peres_virag_exact_law(self, r):
         res = variance_hyperbolic(HyperbolicLevel(1.0, 0), r)
         assert res.value == pytest.approx(peres_virag(r), rel=1e-5)
+
+    def test_peres_virag_to_rounding(self):
+        # r^2 / (1 - r^4) with 1 - r exact, against the value itself; scipy's
+        # Gauss-Legendre nodes left it up to 3.2e-14 off
+        for r in np.linspace(0.02, 0.999, 200).tolist():
+            exact = r * r / ((1.0 - r) * (1.0 + r) * (1.0 + r * r))
+            value = variance_hyperbolic(HyperbolicLevel(1.0, 0), r).value
+            assert abs(value - exact) <= 2e-15 * exact
 
     def test_hand_value_at_half(self):
         res = variance_hyperbolic(HyperbolicLevel(1.0, 0), 0.5)
@@ -373,6 +389,29 @@ class TestLargeBeta:
             # R^2 (ratio - 1) settles to a constant of the level
             slopes = [row.scale ** 2 * (row.ratio - 1.0) for row in rows[1:]]
             assert slopes[1] == pytest.approx(slopes[0], rel=1e-2)
+
+
+class TestWeightEnvelope:
+    def test_decision_matches_the_beta_function_form(self):
+        # log max|P_m^(0, beta)| = log((beta + 1)_m / m!) as a sum of log1p against
+        # scipy's betaln, on a grid that crosses the overflow threshold at every m
+        def raises_by_betaln(level):
+            log_pmax = (-special.betaln(level.beta + 1.0, level.m + 1.0)
+                        - math.log(level.beta + level.m + 1.0))
+            return 2.0 * (math.log(level.beta / math.pi) + log_pmax) > variance._LOG_HUGE
+
+        decisions = set()
+        for m in range(9):
+            for nu in np.logspace(math.log10(m + 0.6), 300.0, 1500).tolist():
+                level = HyperbolicLevel(nu, m)
+                try:
+                    variance._check_weight_envelope(level)
+                    raised = False
+                except QuadratureFailure:
+                    raised = True
+                assert raised == raises_by_betaln(level), (nu, m)
+                decisions.add((m, raised))
+        assert len(decisions) == 18
 
 
 class TestRadialWeight:
