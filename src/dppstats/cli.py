@@ -200,9 +200,6 @@ def asymptotics(nu, m, radii, rel_tol, abs_tol, fmt, output):
     quad = _make_quad(rel_tol, abs_tol)
     level = _guarded(HyperbolicLevel, nu, m)
     constant = _guarded(asymptotic_constant, level, quad)
-    if constant > level.beta:
-        click.echo(f"warning: limit constant {constant!r} exceeds its bound "
-                   f"{level.beta!r}", err=True)
     rows = []
     for r in radii:
         res = _guarded(variance_hyperbolic, level, r, quad)

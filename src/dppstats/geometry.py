@@ -22,16 +22,9 @@ import numpy as np
 
 from .exceptions import DomainError
 
-__all__ = [
-    "ImageDisc",
-    "LensIntegralResult",
-    "mobius",
-    "hyperbolic_distance",
-    "image_disc",
-    "euclidean_lens_complement_area",
-    "hyperbolic_lens_integral",
-    "hyperbolic_lens_integral_transformed",
-]
+__all__ = ["ImageDisc", "LensIntegralResult", "mobius", "hyperbolic_distance", "image_disc",
+           "euclidean_lens_complement_area", "hyperbolic_lens_integral",
+           "hyperbolic_lens_integral_transformed"]
 
 
 @dataclass(frozen=True)
@@ -144,13 +137,6 @@ def _lens_complement(r: float, z: np.ndarray) -> np.ndarray:
     return 2.0 * r * r * np.arctan2(z, chord) + 0.5 * z * chord
 
 
-def _validate_lens_args(r: float, z_modulus: float):
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r must lie in (0, 1), got {r}")
-    if not 0.0 <= z_modulus < 1.0:
-        raise DomainError(f"z_modulus must lie in [0, 1), got {z_modulus}")
-
-
 # relative rounding bound of the closed form: a few sinh, sqrt and arctan2
 # evaluations of positive terms, each correctly rounded to about one ulp
 _LENS_ROUNDING = 8.0 * np.finfo(float).eps
@@ -191,7 +177,10 @@ def hyperbolic_lens_integral(r: float, z_modulus: float) -> LensIntegralResult:
     where the image disc has left D_r.  The error estimate bounds the
     rounding of the closed form.
     """
-    _validate_lens_args(r, z_modulus)
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"r must lie in (0, 1), got {r}")
+    if not 0.0 <= z_modulus < 1.0:
+        raise DomainError(f"z_modulus must lie in [0, 1), got {z_modulus}")
     R, u = 2.0 * math.atanh(r), math.atanh(z_modulus)
     value = float(_lens_area(R, min(u, R), max(R - u, 0.0)))
     return LensIntegralResult(value, _LENS_ROUNDING * value)

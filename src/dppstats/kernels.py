@@ -18,14 +18,8 @@ import numpy as np
 from .exceptions import DomainError
 from .specfun import _jacobi_zero_beta_gap, jacobi_zero_beta, laguerre
 
-__all__ = [
-    "EuclideanLevel",
-    "HyperbolicLevel",
-    "fock_kernel_sq_weighted",
-    "hyperbolic_kernel",
-    "hyperbolic_kernel_abs_sq",
-    "f_profile",
-]
+__all__ = ["EuclideanLevel", "HyperbolicLevel", "fock_kernel_sq_weighted", "hyperbolic_kernel",
+           "hyperbolic_kernel_abs_sq", "f_profile"]
 
 
 @dataclass(frozen=True)

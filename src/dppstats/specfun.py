@@ -12,10 +12,7 @@ import numpy as np
 
 from .exceptions import DomainError
 
-__all__ = [
-    "laguerre",
-    "jacobi_zero_beta",
-]
+__all__ = ["laguerre", "jacobi_zero_beta"]
 
 
 def laguerre(n: int, x):

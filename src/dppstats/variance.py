@@ -6,8 +6,11 @@ lens area, plus the exact integral of the weight past the point where the
 area stops growing.  On the plane the area is A(rho) = r g(rho^2) (g is
 Shirai's angular factor) and the rest past rho = 2r is a Gauss-Laguerre sum;
 on the disc the area is the Gauss-Bonnet closed form and the rest a
-Gauss-Jacobi sum.  Each computation carries two route names (shirai and
-geometric, int1 and int3), so their agreement checks nothing.  Also here:
+Gauss-Jacobi sum.  Both exact sums take their rules from one builder,
+:func:`_gauss_rule` (eigenvalue nodes, Christoffel weights, from the Jacobi
+matrix of the weight); the radial integrals use the Gauss-Legendre rules of
+:mod:`dppstats.quadrature`.  Each computation carries two route names (shirai
+and geometric, int1 and int3), so their agreement checks nothing.  Also here:
 the constant C of Var(N_r) ~ C / (1 - r^2) as r -> 1, a finite sum, and
 the curvature-rescaling table that links the disc family to the planar one.
 
@@ -24,8 +27,6 @@ integration of the radial measure).
 In u = atanh(rho) the disc integral is taken against :func:`_radial_weight`
 up to the lens kink u = R = 2 atanh(r), the hyperbolic radius of D_r; past
 it I is constant and the weight integrates exactly (:func:`_weight_tail`).
-The returned error is the error of that one quadrature plus a rounding
-bound, and it is checked against the tolerance once, at the end.
 """
 
 from __future__ import annotations
@@ -43,16 +44,9 @@ from .kernels import EuclideanLevel, HyperbolicLevel, _radial_profile
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate_interval
 from .specfun import _jacobi_zero_beta_gap
 
-__all__ = [
-    "VarianceResult",
-    "ContractionRow",
-    "variance_euclidean_shirai",
-    "variance_euclidean_geometric",
-    "variance_hyperbolic",
-    "variance_hyperbolic_via_transformed",
-    "asymptotic_constant",
-    "contraction_check",
-]
+__all__ = ["VarianceResult", "ContractionRow", "variance_euclidean_shirai",
+           "variance_euclidean_geometric", "variance_hyperbolic",
+           "variance_hyperbolic_via_transformed", "asymptotic_constant", "contraction_check"]
 
 ROUTES = ("shirai", "geometric", "int1", "int3")
 
@@ -88,6 +82,44 @@ _LOG_HUGE = 700.0
 # of L_n (t <~ 4n + 2) and stop before e^{-c/2} leaves the normal doubles
 _MAX_CUT = 1400.0
 
+# multiplies the (p_k, p_k') rows of _gauss_rule into p_k^2 and (p_k^2)' = 2 p_k p_k'
+_SUM_AND_SLOPE = np.array([[1.0], [2.0]])
+
+
+def _gauss_rule(diag, off):
+    """Nodes, ascending, and weights summing to 1 of the Gauss rule of a Jacobi matrix.
+
+    ``diag`` and ``off`` hold the recurrence off_k p_{k+1} = (y - diag_k) p_k -
+    off_{k-1} p_{k-1}, p_0 = 1, of the orthonormal polynomials of a measure of mass 1,
+    whose zeros in p_n are the nodes (Golub & Welsch, Math. Comp. 23 (1969)): the
+    eigenvalues (:func:`numpy.linalg.eigvalsh`) after one Newton step on p_n, off_n = 1.
+    Each weight is the Christoffel number 1 / sum_{k<n} p_k(y)^2 (Gautschi 2004), a
+    positive sum, so it keeps its relative accuracy however small; an eigenvector's
+    first component is good to about eps absolute.  The sum is taken at the
+    eigenvalue and moved by the Newton step to first order.  A sum past 2^600 is
+    scaled by 2^-600, so a weight below the doubles underflows to 0.  Read-only arrays.
+    """
+    y = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    off, shifted = np.append(off, 1.0), y - diag[:, None]
+    prev, cur, acc = np.zeros((3, 2, y.size))     # rows: p_k and p_k' at the nodes
+    cur[0] = 1.0
+    shift = np.zeros(y.size, dtype=int)
+    for k in range(y.size):
+        acc += cur[0] * cur * _SUM_AND_SLOPE      # sum_{j<=k} p_j^2 and its derivative
+        nxt = shifted[k] * cur - (off[k - 1] if k else 0.0) * prev
+        nxt[1] += cur[0]
+        prev, cur = cur, nxt / off[k]
+        if acc[0].max() > 2.0 ** 600:
+            big = acc[0] > 2.0 ** 600
+            prev[:, big], cur[:, big] = prev[:, big] * 2.0 ** -300, cur[:, big] * 2.0 ** -300
+            acc[:, big], shift[big] = acc[:, big] * 2.0 ** -600, shift[big] + 600
+    step = cur[0] / cur[1]
+    w = np.ldexp(1.0 / (acc[0] - step * acc[1]), -shift)
+    y, w = y - step, w / w.sum()
+    y.setflags(write=False)           # cached by the callers, which share these arrays
+    w.setflags(write=False)
+    return y, w
+
 
 def _laguerre_tails(n: int, rule, cuts):
     """int_c^inf L_n(t)^2 e^{-t} dt at each cut c by the (n + 1)-point Gauss-Laguerre
@@ -100,12 +132,14 @@ def _laguerre_tails(n: int, rule, cuts):
 
 @functools.cache
 def _laguerre_rule(n: int):
-    """The rule, the cuts and the tails at them, cached per level.  The rule must keep its
-    orthonormality sum w L_n(s)^2 = 1, lost near n = 190; then |L_n| < 1e240 wherever used."""
+    """The rule, the cuts and the tails at them, cached per level.  The rule is
+    :func:`_gauss_rule` of e^{-t} (diagonal 2k + 1, subdiagonal k) and must keep its
+    orthonormality sum w L_n(s)^2 = 1; then |L_n| < 1e240 wherever used."""
     import scipy.special as special
+    k = np.arange(n + 1.0)
+    nodes, weights = _gauss_rule(2.0 * k + 1.0, k[1:])
+    rule = nodes, np.sqrt(weights)
     with np.errstate(all="ignore"):     # a rule that overflows fails the check below
-        nodes, weights = special.roots_laguerre(n + 1)
-        rule = nodes, np.sqrt(weights)
         norm = float(np.sum((rule[1] * special.eval_laguerre(n, nodes)) ** 2))
     if not abs(norm - 1.0) <= 1e-12:
         raise TruncationFailure(f"the {n + 1}-point Gauss-Laguerre rule has norm {norm!r}")
@@ -120,11 +154,9 @@ def _variance_planar(level: EuclideanLevel, r: float, quad: QuadratureConfig,
     <= abs_tol/4.  If 4 r^2 <= c the exact rest at 4 r^2 joins the value.  Else the
     quadrature stops at sqrt(c), at 3/4 rel_tol, and the rest bound (A <= pi r^2)
     joins the error: max(2/pi abs_tol, 3/4 rel_tol V) + abs_tol/4 <= tolerance(V).
-    The error also carries the rounding bound of :func:`_variance_disc`'s quadrature,
-    (2 N + 16) eps times the integral, N the largest rule any piece summed as
-    :func:`integrate_interval` reports it (not the width of an integrand call, which
-    holds two rules at once in the first), and :class:`QuadratureFailure` is raised
-    if the sum misses the tolerance."""
+    The error also carries the rounding bound (2 N + 16) eps times the integral, N the
+    largest rule any piece summed, as in :func:`_variance_disc`, and
+    :class:`QuadratureFailure` is raised if the sum misses the tolerance."""
     import scipy.special as special   # once per call: its C eval_laguerre runs in the integrand
     if not (r > 0.0 and math.isfinite(4.0 * r * r)):
         raise DomainError(f"r must be positive with 4 r^2 finite, got {r}")
@@ -214,41 +246,33 @@ def _tail_jacobi(m: int, beta: float, a: float = 0.0):
 
 @functools.lru_cache(maxsize=256)
 def _tail_rule(m: int, beta: float, a: float = 0.0):
-    """(m + 1)-point Gauss rule for t^{beta - 1} (1 - t)^a dt on [0, 1], in y = beta (1 - t).
+    """(m + 1)-point Gauss rule for t^{beta - 1} (1 - t)^a dt on [0, 1], in y = beta (1 - t)."""
+    return _gauss_rule(*_tail_jacobi(m, beta, a))
 
-    Golub-Welsch on :func:`_tail_jacobi`: :func:`numpy.linalg.eigh` of the
-    dense (m + 1) x (m + 1) matrix, of which it reads the lower triangle.
-    Returns nodes y and weights summing to 1, all positive.
-    """
-    diag, off = _tail_jacobi(m, beta, a)
-    y, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
-    w = vectors[0] ** 2
-    y.setflags(write=False)           # cached: every caller shares these arrays
-    w.setflags(write=False)
-    return y, w
+
+def _tail_sum(level: HyperbolicLevel, x, s):
+    """sum_i w_i P_m^{(0, beta)}(1 - 2 (x + s y_i / beta))^2 over :func:`_tail_rule` (m, beta),
+    for arrays ``x`` and ``s`` (a leading axis each): the Jacobi factor of the exact weight
+    tail (:func:`_weight_tail`), a polynomial of degree 2m in x and s, every term positive."""
+    y, w = _tail_rule(level.m, level.beta)
+    p = _jacobi_zero_beta_gap(level.m, level.beta, x[..., None] + s[..., None] * (y / level.beta))
+    return (p * p) @ w
 
 
 def _weight_tail(level: HyperbolicLevel, u0: float):
     """log of int_{u0}^inf :func:`_radial_weight` du, exactly, and its size.
 
     With s = sech^2 u the integral is
-    1/2 (beta/pi)^2 int_0^{s0} s^{beta - 1} P_m^{(0, beta)}(2s - 1)^2 ds,
-    s0 = sech^2 u0.  Put s = s0 t: the Jacobi factor is a polynomial of
-    degree 2m in t, so :func:`_tail_rule` integrates it exactly and
-    every term is positive:
-
-        beta/(2 pi^2) s0^beta sum_i w_i P_m^{(0, beta)}(1 - 2 (1 - s0 t_i))^2,
-
-    with 1 - s0 t_i = tanh^2 u0 + s0 y_i / beta.  The prefactor is formed in
-    log space; at m = 0 the sum is 1.  Returns (log value, sum of the
-    magnitudes of the logarithms added), the second for a rounding bound.
+    1/2 (beta/pi)^2 int_0^{s0} s^{beta - 1} P_m^{(0, beta)}(2s - 1)^2 ds, s0 = sech^2 u0.
+    Put s = s0 t: the Jacobi factor has degree 2m in t, so :func:`_tail_rule` sums it
+    exactly, beta/(2 pi^2) s0^beta :func:`_tail_sum` (tanh^2 u0, s0), the prefactor in
+    log space.  Returns (log value, sum of the magnitudes of the logarithms added),
+    the second for a rounding bound.
     """
-    beta, m = level.beta, level.m
+    beta = level.beta
     log_s0 = -2.0 * math.log1p(2.0 * math.sinh(0.5 * u0) ** 2)
-    y, w = _tail_rule(m, beta)
-    one_minus_s = math.tanh(u0) ** 2 + math.exp(log_s0) * y / beta
-    p = _jacobi_zero_beta_gap(m, beta, one_minus_s)
-    parts = (math.log(beta / (2.0 * math.pi ** 2)), beta * log_s0, math.log(float(w @ (p * p))))
+    total = float(_tail_sum(level, np.array(math.tanh(u0) ** 2), np.array(math.exp(log_s0))))
+    parts = (math.log(beta / (2.0 * math.pi ** 2)), beta * log_s0, math.log(total))
     return sum(parts), sum(abs(x) for x in parts)
 
 
@@ -265,9 +289,11 @@ def _variance_disc(level: HyperbolicLevel, r: float, quad: QuadratureConfig,
     relative for an n-node Gauss-Legendre rule, which the package's rules meet
     (n the largest rule any piece summed, as :func:`integrate_interval`
     reports it), u = R - w^2 moves
-    the peak of the weight by eps R, and the tail's prefactor is an
-    exponential.  :class:`QuadratureFailure` is raised if the sum misses
-    the tolerance.
+    the peak of the weight by eps R, the tail's prefactor is an exponential
+    and its sum is good to 4 (m + 1)^2 eps relative (the rounded arguments of
+    P_m meet its slope, up to m^2 times its size; the rule's weights lose a few
+    (m + 1) eps).  :class:`QuadratureFailure` is raised if the sum misses the
+    tolerance.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r}")
@@ -291,7 +317,8 @@ def _variance_disc(level: HyperbolicLevel, r: float, quad: QuadratureConfig,
     value, err, nodes = integrate_interval(f, 0.0, math.sqrt(R), quad, breakpoints)
     log_tail, log_size = _weight_tail(level, R)
     rest = 0.5 * math.pi * math.sinh(0.5 * R) ** 2 * math.exp(log_tail)   # lens_max x tail
-    rounding = (_EPS * (2.0 * nodes + 16.0) + resolution) * value + _EPS * (8.0 + log_size) * rest
+    rounding = ((_EPS * (2.0 * nodes + 16.0) + resolution) * value
+                + _EPS * (8.0 + 4.0 * (level.m + 1) ** 2 + log_size) * rest)
     total, err_total = 4.0 * math.pi * (value + rest), 4.0 * math.pi * (err + rounding)
     if not err_total <= quad.tolerance(total):
         raise QuadratureFailure(
@@ -309,13 +336,9 @@ def variance_hyperbolic(level: HyperbolicLevel, r: float,
 
 def variance_hyperbolic_via_transformed(level: HyperbolicLevel, r: float,
                                         quad: QuadratureConfig = DEFAULT_QUAD) -> VarianceResult:
-    """The computation of :func:`variance_hyperbolic` under the route name int3.
-
-    The two disc routes once integrated the lens by different quadratures;
-    both now use its closed form, so their agreement checks nothing.  The
-    independent checks are :func:`dppstats.counting.variance_series` at
-    m = 0 and the quadrature-lens oracle of the test suite at m > 0.
-    """
+    """The computation of :func:`variance_hyperbolic` under the route name int3; the
+    independent checks are :func:`dppstats.counting.variance_series` at m = 0 and
+    the quadrature-lens oracle of the test suite at m > 0."""
     return _variance_disc(level, r, quad, "int3")
 
 
@@ -327,7 +350,7 @@ def asymptotic_constant(level: HyperbolicLevel,
     C = 4 pi int w gd du = 4 pi int sech(u) T(u) du by parts, with w the weight
     of :func:`_radial_weight` and T its exact tail (:func:`_weight_tail`).  In
     z = tanh^2 u, T = beta/(2 pi^2) (1 - z)^beta S(z), where S(z) is the sum
-    w_i P_m^{(0, beta)}(1 - 2 (z + tau_i - z tau_i))^2 of degree 2m, so
+    :func:`_tail_sum` at (z, 1 - z), of degree 2m, so
 
         C = (beta/pi) int_0^1 z^{-1/2} (1 - z)^{beta - 1/2} S(z) dz
           = sum_k v_k S(z_k) / B(beta, 1/2)
@@ -335,15 +358,14 @@ def asymptotic_constant(level: HyperbolicLevel,
     with (z_k, v_k) from :func:`_tail_rule` at (beta + 1/2, a = -1/2): (m + 1)^2
     positive terms, summed exactly.  At m = 0, C = 1/B(beta, 1/2); always
     C <= beta = 2 (nu - m) - 1.  :class:`QuadratureFailure` if a rounding
-    bound misses ``quad.tolerance(C)`` or the sum is not finite and positive.
+    bound misses ``quad.tolerance(C)``, the sum is not finite and positive or C
+    exceeds beta by more than its rounding.
     """
     beta, m = level.beta, level.m
-    tau, w = _tail_rule(m, beta)
     z, v = _tail_rule(m, beta + 0.5, -0.5)
-    z, tau = (z / (beta + 0.5))[:, None], tau / beta
+    z = z / (beta + 0.5)
     with np.errstate(all="ignore"):   # a P^2 past DBL_MAX makes the sum inf, raised below
-        p = _jacobi_zero_beta_gap(m, beta, z + tau - z * tau)
-        total = float(v @ (p * p) @ w)
+        total = float(v @ _tail_sum(level, z, 1.0 - z))
     # -log B(beta, 1/2): scipy's betaln differences lgammas past beta = 171 and loses up
     # to 2e-9 there, so larger beta take Stirling's series, next term below 1.2e-3 beta^-7
     b2 = beta * beta
@@ -354,10 +376,11 @@ def asymptotic_constant(level: HyperbolicLevel,
         parts = (0.5 * math.log(beta / math.pi), (-0.125 + (1 / 192 - 1 / (640 * b2)) / b2) / beta)
     value = math.exp(sum(parts)) * total
     rounding = _EPS * (16.0 * (m + 1) ** 2 + sum(abs(x) for x in parts)) * value
-    if not (0.0 < value < math.inf and rounding <= quad.tolerance(value)):
+    if not (0.0 < value < math.inf and rounding <= quad.tolerance(value)
+            and value - rounding <= beta):
         raise QuadratureFailure(
             f"limit constant at nu={level.nu}, m={level.m}: {value!r} with rounding "
-            f"{rounding:.3e} against tolerance {quad.tolerance(value):.3e}")
+            f"{rounding:.3e} against tolerance {quad.tolerance(value):.3e} and bound {beta!r}")
     return value
 
 
@@ -387,7 +410,5 @@ def contraction_check(m: int, r: float, R_values: Sequence[float],
             raise DomainError(f"r/R must lie in (0, 1), got {r / R}")
         level = HyperbolicLevel(R * R / 2.0, int(m))
         scaled = variance_hyperbolic(level, r / R, quad).value
-        rows.append(ContractionRow(scale=float(R), scaled_variance=scaled,
-                                   euclidean_target=target,
-                                   ratio=scaled / target))
+        rows.append(ContractionRow(float(R), scaled, target, scaled / target))
     return rows

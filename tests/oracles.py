@@ -16,9 +16,12 @@ The hyperbolic lens integral has two quadrature forms, the direct angular
 one and the integration-by-parts one, batched over an array of |z|.  They
 are the oracles of the library's Gauss-Bonnet closed form, and the disc
 variance with the lens taken by quadrature at every outer node is the
-oracle of the disc routes at m > 0.  The limit constant C has its radial
-integral up to a cutoff U, plus pi times the exact weight tail past U, as
-the oracle of the library's finite Gauss-Jacobi sum at m > 0.
+oracle of the disc routes at m > 0; the weight's tail past the lens kink
+has a direct quadrature beside the library's exact sum.  The limit constant
+C has its radial integral up to a cutoff U, plus pi times the exact weight
+tail past U, as the oracle of the library's finite Gauss-Jacobi sum at
+m > 0, and the Gauss-Jacobi rules themselves have a Golub-Welsch form in
+mpmath.
 """
 
 from __future__ import annotations
@@ -26,12 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
-from scipy import integrate, linalg, special
+from mpmath.matrices.eigen_symmetric import tridiag_eigen
+from scipy import integrate, special
 
 from dppstats import (DEFAULT_QUAD, DomainError, LensIntegralResult,
                       QuadratureConfig, QuadratureFailure)
-from dppstats.quadrature import integrate_interval, integrate_rows
+from dppstats.quadrature import _leggauss, integrate_interval, integrate_rows
 from dppstats.variance import _radial_weight, _weight_tail
 
 
@@ -217,9 +222,11 @@ def planar_sector_variance(n: int, r: float, nodes: int = 400) -> float:
     as the same integral over [r^2, inf), which a 64-point Gauss-Laguerre
     rule gives exactly for a + 2d < 128, so that it does not cancel.  The
     sum stops past k = r^2 once p_k drops below 1e-18.  The log-space
-    weights leave about 2e-14 relative error at r <= 6.
+    weights leave about 2e-14 relative error at r <= 6.  The Gauss-Legendre rule is
+    the library's own, which meets the (2n + 16) eps allowance; scipy's
+    roots_legendre misses it by 88 times at n = 400.
     """
-    x, w = special.roots_legendre(nodes)
+    x, w, _ = _leggauss((nodes,))
     t = 0.5 * r * r * (x + 1.0)
     w = 0.5 * r * r * w
     s, ws = special.roots_laguerre(64)
@@ -411,15 +418,26 @@ def lens_integral(lens, r: float, z_modulus: float,
     return LensIntegralResult(value, err)
 
 
+def weight_tail_direct(level, u0: float, span: float = 6.0):
+    """(value, error) of int_{u0}^{u0 + span} of the library's radial weight by
+    :func:`integrate_interval` at 1e-14 relative, plus the (2n + 16) eps rounding of
+    its n-node rule: the exact weight tail past u0 wherever the weight past
+    u0 + span, below sech^{2 beta}, is negligible (beta of 10 and more)."""
+    quad = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300)
+    value, err, nodes = integrate_interval(lambda u: _radial_weight(level, u), u0, u0 + span, quad)
+    return value, err + (2.0 * nodes + 16.0) * np.finfo(float).eps * value
+
+
 def disc_variance_quadrature_lens(level, r: float, lens=_lens_direct,
-                                  quad: QuadratureConfig = DEFAULT_QUAD):
+                                  quad: QuadratureConfig = DEFAULT_QUAD, tail=None):
     """(value, error) of the disc variance with the lens taken by quadrature.
 
-    The outer integral and the exact rest are the library's (u = R - w^2,
-    :func:`dppstats.variance._weight_tail`); at every outer node the lens
-    comes from the batched ``lens`` at a hundredth of the outer tolerance,
-    and its error enters as sqrt(R) times the largest weighted inner error.
-    The rounding of the n-node outer rule, 2 n eps relative, is added too.
+    The outer integral is the library's (u = R - w^2), and so is the exact
+    rest, :func:`dppstats.variance._weight_tail`, unless ``tail(level, R)`` gives
+    it as (value, error), such as :func:`weight_tail_direct`; at every outer
+    node the lens comes from the batched ``lens`` at a hundredth of the outer
+    tolerance, and its error enters as sqrt(R) times the largest weighted inner
+    error.  The rounding of the n-node outer rule, 2 n eps relative, is added too.
     """
     R = 2.0 * math.atanh(r)
     inner = replace(quad, rel_tol=max(quad.rel_tol * 1e-2, 1e-13),
@@ -434,10 +452,12 @@ def disc_variance_quadrature_lens(level, r: float, lens=_lens_direct,
         return (weight * value).reshape(np.shape(w))
 
     value, err, nodes = integrate_interval(outer, 0.0, math.sqrt(R), quad)
-    rest = 0.5 * math.pi * math.sinh(0.5 * R) ** 2 * math.exp(_weight_tail(level, R)[0])
+    tail_value, tail_err = tail(level, R) if tail else (math.exp(_weight_tail(level, R)[0]), 0.0)
+    lens_max = 0.5 * math.pi * math.sinh(0.5 * R) ** 2
     rounding = 2.0 * nodes * np.finfo(float).eps * value
-    return (4.0 * math.pi * (value + rest),
-            4.0 * math.pi * (err + math.sqrt(R) * inner_err_sup[0] + rounding))
+    return (4.0 * math.pi * (value + lens_max * tail_value),
+            4.0 * math.pi * (err + math.sqrt(R) * inner_err_sup[0] + rounding
+                             + lens_max * tail_err))
 
 
 def _radial_cutoff(level, envelope: float, abs_tol: float):
@@ -480,18 +500,32 @@ def asymptotic_constant_cutoff(level, quad: QuadratureConfig = DEFAULT_QUAD) -> 
     return 2.0 * math.pi * (value + math.pi * math.exp(_weight_tail(level, U)[0]))
 
 
-def tail_rule_zero_exponent(m: int, beta: float):
-    """The (m + 1)-point Gauss rule for t^{beta - 1} dt on [0, 1], in y = beta (1 - t),
-    from the Jacobi entries written for that weight alone (no second exponent) and
-    solved by scipy's tridiagonal eigensolver, not the library's dense one."""
-    b = beta - 1.0
-    k = np.arange(1.0, m + 1.0)
-    diag = np.empty(m + 1)
-    diag[0] = beta / (b + 2.0)
-    diag[1:] = beta / (2.0 * k + b) * (2.0 * k * (k + b + 1.0) + b) / (2.0 * k + b + 2.0)
-    off = (beta / (2.0 * k + b) * k * (k + b)
-           / (np.sqrt(2.0 * k + b + 1.0) * np.sqrt(2.0 * k + b - 1.0)))
-    if m == 0:
-        return diag, np.ones(1)
-    y, vectors = linalg.eigh_tridiagonal(diag, off)
-    return y, vectors[0] ** 2
+def tail_rule_golub_welsch(m: int, beta: float, a: float = 0.0):
+    """The (m + 1)-point Gauss rule for t^{beta - 1} (1 - t)^a dt on [0, 1], in
+    y = beta (1 - t), by Golub-Welsch in mpmath: the textbook Jacobi coefficients of
+    x^a (1 - x)^{beta - 1} in u = 1 - 2x, and mpmath's implicit QL routine for the
+    eigenvalues and the first eigenvector components.  The working precision is 60
+    digits plus log10(beta), which the coefficients lose to cancellation, plus half
+    the decades of the smallest weight, whose first component is good to about the
+    working precision absolute, so that every node and weight is good to about 60
+    digits.  Returns float arrays, nodes ascending."""
+    def solve(dps):
+        with mpmath.workdps(dps):
+            a_, b = mpmath.mpf(a), mpmath.mpf(beta) - 1
+            d, e = [(b - a_) / (a_ + b + 2)], []
+            for k in range(1, m + 1):
+                s = 2 * k + a_ + b
+                d.append((b * b - a_ * a_) / (s * (s + 2)))
+                e.append(mpmath.sqrt(4 * k * (k + a_) * (k + b) * (k + a_ + b)
+                                     / (s * s * (s + 1) * (s - 1))))
+            half = mpmath.mpf(beta) / 2
+            d, e = [half * (1 - x) for x in d], [half * x for x in e] + [mpmath.mpf(0)]
+            z = mpmath.zeros(1, m + 1)
+            z[0, 0] = 1
+            tridiag_eigen(mpmath.mp, d, e, z)     # d becomes the eigenvalues, ascending
+            return d, [z[0, i] ** 2 for i in range(m + 1)]
+
+    digits = 60 + max(0, math.ceil(math.log10(beta)))
+    y, w = solve(digits)
+    y, w = solve(digits + max(0, math.ceil(-mpmath.log10(min(w)) / 2)))
+    return np.array([float(x) for x in y]), np.array([float(x) for x in w])

@@ -1,10 +1,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dppstats import HyperbolicLevel, QuadratureConfig, variance
 from dppstats.cli import cli
+from oracles import asymptotic_constant_cutoff, disc_variance_quadrature_lens, weight_tail_direct
 
 
 @pytest.fixture()
@@ -121,6 +124,38 @@ class TestAsymptoticsCommand:
                                      "--r", "0.9", "--format", "json"])
         payload = json.loads(result.output)
         assert payload["constant"] <= payload["bound"]
+
+
+class TestLargeDegreeLevels:
+    """The three commands that exited 0 with wrong values while the disc tail rule
+    took its weights from eigenvectors."""
+
+    @pytest.mark.parametrize("nu, m", [(60, 30), (100, 60)])
+    def test_variance_within_its_error_bar(self, runner, nu, m):
+        # printed 5.2753783563816494 +- 3.9e-11 and 54116817364.65 +- 1.1e-3
+        result = runner.invoke(cli, ["variance", "--nu", str(nu), "--m", str(m), "--r", "0.3"])
+        assert result.exit_code == 0
+        _, rows = csv_rows(result.output)
+        value, error = float(rows[0][1]), float(rows[0][2])
+        ref, ref_err = disc_variance_quadrature_lens(HyperbolicLevel(nu, m), 0.3,
+                                                     tail=weight_tail_direct)
+        assert abs(value - ref) <= error + ref_err
+
+    def test_asymptotic_constant_within_its_tolerance(self, runner):
+        # printed C = 3.18e13 with a warning, against the bound C <= beta = 79
+        result = runner.invoke(cli, ["asymptotics", "--nu", "100", "--m", "60"])
+        assert result.exit_code == 0
+        _, rows = csv_rows(result.output)
+        constant = float(rows[-1][2])
+        ref = asymptotic_constant_cutoff(HyperbolicLevel(100.0, 60),
+                                         QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300))
+        assert abs(constant - ref) <= QuadratureConfig().tolerance(constant)
+
+    def test_constant_past_its_bound_exits_3(self, runner, monkeypatch):
+        monkeypatch.setattr(variance, "_tail_sum", lambda level, x, s: np.full(x.shape, 1e3))
+        result = runner.invoke(cli, ["asymptotics", "--nu", "3.5", "--m", "2"])
+        assert result.exit_code == 3
+        assert "bound" in result.stderr and "warning" not in result.stderr
 
 
 class TestDistributionCommand:

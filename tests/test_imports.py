@@ -1,10 +1,11 @@
 """What ``import dppstats.cli`` loads, checked in a fresh interpreter.
 
 The import and the disc variance load no scipy module at all: the
-Gauss-Legendre rules are the package's own.  The count law and the limit
-constant load scipy.special on first use but neither scipy.integrate (with
-scipy.optimize and scipy.sparse behind it) nor scipy.linalg, and the other
-quadrature schemes import scipy.integrate when first used.
+Gauss-Legendre and Gauss-Jacobi rules are the package's own.  The planar
+variance, the count law and the limit constant load scipy.special on first
+use but neither scipy.integrate (with scipy.optimize and scipy.sparse behind
+it) nor scipy.linalg, since the Gauss-Laguerre rule is the package's own too,
+and the other quadrature schemes import scipy.integrate when first used.
 """
 
 import json
@@ -21,9 +22,10 @@ def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 import dppstats.cli
-from dppstats import (HyperbolicLevel, QuadratureConfig, asymptotic_constant,
+from dppstats import (EuclideanLevel, HyperbolicLevel, QuadratureConfig, asymptotic_constant,
                       build_profile, distribution, generating_function, sample_counts,
-                      variance_hyperbolic, variance_hyperbolic_via_transformed)
+                      variance_euclidean_geometric, variance_hyperbolic,
+                      variance_hyperbolic_via_transformed)
 from dppstats.quadrature import integrate_interval
 import numpy as np
 
@@ -31,6 +33,8 @@ state = {"import": loaded()}
 variance_hyperbolic(HyperbolicLevel(1.0, 0), 0.5)
 variance_hyperbolic_via_transformed(HyperbolicLevel(5.3, 2), 0.99)
 state["disc"] = loaded()
+variance_euclidean_geometric(EuclideanLevel(3), 2.0)
+state["planar"] = loaded()
 profile = build_profile(nu=1.5, r=0.7)
 distribution(profile)
 generating_function(profile, 0.5)
@@ -57,6 +61,11 @@ def test_cli_import_loads_no_heavy_scipy_module(state):
 
 def test_disc_variance_loads_no_scipy_module(state):
     assert state["disc"] == []
+
+
+def test_planar_variance_loads_no_linalg(state):
+    assert "scipy.linalg" not in state["planar"]
+    assert "scipy.integrate" not in state["planar"]
 
 
 def test_count_law_and_limit_constant_load_neither_integrate_nor_linalg(state):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, linalg, special
+from scipy import integrate, special
 
 from dppstats import (DomainError, EuclideanLevel, HyperbolicLevel,
                       QuadratureConfig, QuadratureFailure, TruncationFailure,
@@ -15,7 +15,7 @@ from dppstats import (DomainError, EuclideanLevel, HyperbolicLevel,
                       variance_hyperbolic_via_transformed)
 from oracles import (_lens_direct, _lens_transformed, asymptotic_constant_cutoff,
                      disc_variance_quadrature_lens, ginibre_variance, kostlan_variance,
-                     planar_sector_variance, tail_rule_zero_exponent)
+                     planar_sector_variance, tail_rule_golub_welsch, weight_tail_direct)
 
 DISC_ROUTES = (variance_hyperbolic, variance_hyperbolic_via_transformed)
 
@@ -538,20 +538,32 @@ class TestTailRule:
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8, 20, 60])
     @pytest.mark.parametrize("beta", [0.02, 0.5, 1.0, 3.3, 1e3, 1e12, 2e300])
-    def test_zero_exponent_keeps_its_rule(self, m, beta):
+    def test_zero_exponent_matches_golub_welsch(self, m, beta):
+        # the eigenvector weights of the dense solver were good to about eps
+        # absolute only: 1.9e50 eps relative off at (m, beta) = (60, 1e3)
         y, w = variance._tail_rule(m, beta)
-        y0, w0 = tail_rule_zero_exponent(m, beta)
-        np.testing.assert_allclose(y, y0, rtol=2.0 * EPS, atol=0.0)
-        np.testing.assert_allclose(w, w0, rtol=2.0 * EPS, atol=0.0)
+        y0, w0 = tail_rule_golub_welsch(m, beta)
+        np.testing.assert_allclose(y, y0, rtol=32.0 * (m + 1) * EPS, atol=0.0)
+        np.testing.assert_allclose(w, w0, rtol=32.0 * (m + 1) * EPS, atol=0.0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 20, 60])
     @pytest.mark.parametrize("beta", [0.6, 1.0, 2.5, 40.0, 1e3, 1e12, 2e300])
-    def test_half_exponent_matches_tridiagonal_solver(self, m, beta):
-        # the library solves the dense matrix; scipy's solver takes the two diagonals
+    def test_half_exponent_matches_golub_welsch(self, m, beta):
         y, v = variance._tail_rule(m, beta, -0.5)
-        y0, vectors = linalg.eigh_tridiagonal(*variance._tail_jacobi(m, beta, -0.5))
-        np.testing.assert_allclose(y, y0, rtol=2.0 * EPS, atol=0.0)
-        np.testing.assert_allclose(v, vectors[0] ** 2, rtol=2.0 * EPS, atol=0.0)
+        y0, v0 = tail_rule_golub_welsch(m, beta, -0.5)
+        np.testing.assert_allclose(y, y0, rtol=32.0 * (m + 1) * EPS, atol=0.0)
+        np.testing.assert_allclose(v, v0, rtol=32.0 * (m + 1) * EPS, atol=0.0)
+
+    @pytest.mark.parametrize("a", [0.0, -0.5])
+    @pytest.mark.parametrize("beta", [1.0, 1e3, 2e300])
+    @pytest.mark.parametrize("m", [200, 1000])
+    def test_weights_sum_to_one_at_high_degree(self, a, beta, m):
+        # the Christoffel sums are rescaled: nothing overflows, and a weight
+        # below the doubles (at beta = 1e3 from m ~ 300) underflows to 0
+        y, w = variance._tail_rule(m, beta, a)
+        assert np.all(np.isfinite(y)) and np.all(np.diff(y) > 0.0)
+        assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+        assert w.sum() == pytest.approx(1.0, rel=8.0 * EPS, abs=0.0)
 
     @pytest.mark.parametrize("a", [0.0, -0.5])
     @pytest.mark.parametrize("m", [0, 1, 3, 6])
@@ -560,3 +572,45 @@ class TestTailRule:
         y, w = variance._tail_rule(m, 2e300, a)
         assert np.all(np.isfinite(y)) and np.all(w > 0.0)
         assert w.sum() == pytest.approx(1.0, rel=8.0 * EPS, abs=0.0)
+
+
+LARGE_DEGREE_LEVELS = [(60.0, 30), (60.0, 40), (100.0, 60)]
+
+
+class TestLargeDegree:
+    """Levels where the eigenvector weights of the tail rule, far below eps, were garbage."""
+
+    @pytest.mark.parametrize("nu, m", LARGE_DEGREE_LEVELS)
+    @pytest.mark.parametrize("u0", [0.05, 2.0 * math.atanh(0.3), 2.0])
+    def test_weight_tail_matches_direct_quadrature(self, nu, m, u0):
+        # the eigenvector weights left the tail at u0 = 2 atanh(0.3) 6.5e-5,
+        # 5.7e-4 and 1.4e10 relative off
+        level = HyperbolicLevel(nu, m)
+        ref, ref_err = weight_tail_direct(level, u0)
+        tail = math.exp(variance._weight_tail(level, u0)[0])
+        assert abs(tail - ref) <= 1e-12 * ref + ref_err
+
+    @pytest.mark.parametrize("nu, m", LARGE_DEGREE_LEVELS)
+    def test_constant_within_its_rounding_bound(self, nu, m):
+        # C came out 3.18e13 at (100, 60), past its bound beta = 79
+        level = HyperbolicLevel(nu, m)
+        ref = asymptotic_constant_cutoff(level, QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300))
+        # a tolerance just above the rounding bound that C checks, 16 (m + 1)^2 eps
+        quad = QuadratureConfig(rel_tol=17.0 * (m + 1) ** 2 * EPS, abs_tol=1e-300)
+        c = asymptotic_constant(level, quad)
+        assert c <= level.beta
+        assert abs(c - ref) <= quad.tolerance(c) + 1e-13 * ref
+
+    @pytest.mark.parametrize("nu, m", LARGE_DEGREE_LEVELS)
+    @pytest.mark.parametrize("r", [0.3, 0.9])
+    def test_disc_variance_within_error_bars(self, nu, m, r):
+        level = HyperbolicLevel(nu, m)
+        res = variance_hyperbolic(level, r)
+        ref, ref_err = disc_variance_quadrature_lens(level, r, tail=weight_tail_direct)
+        assert abs(res.value - ref) <= res.error_estimate + ref_err
+
+    def test_constant_past_its_bound_raises(self, monkeypatch):
+        # C <= beta is proven, so a sum past it is a failed rule, not a value
+        monkeypatch.setattr(variance, "_tail_sum", lambda level, x, s: np.full(x.shape, 1e3))
+        with pytest.raises(QuadratureFailure, match="bound"):
+            asymptotic_constant(HyperbolicLevel(3.5, 2))
