@@ -27,7 +27,6 @@ import sys
 import tempfile
 
 import click
-import numpy as np
 
 from .counting import build_profile, distribution, generating_function, sample_distribution
 from .exceptions import DomainError, QuadratureFailure, TruncationFailure
@@ -44,6 +43,13 @@ DEFAULT_REL_TOL = 1e-9
 DEFAULT_ABS_TOL = 1e-12
 DEFAULT_EPSILON = 1e-12
 DEFAULT_SEED = 0
+
+# each variance route: its function and its geometry; 'both' runs a geometry's two in order
+ROUTES = {"int1": (variance_hyperbolic, "disc"),
+          "int3": (variance_hyperbolic_via_transformed, "disc"),
+          "shirai": (variance_euclidean_shirai, "planar"),
+          "geometric": (variance_euclidean_geometric, "planar")}
+DEFAULT_ROUTE = {"disc": "int1", "planar": "shirai"}
 
 
 def _fmt(x) -> str:
@@ -138,7 +144,7 @@ def cli():
 @click.option("--m", type=int, default=None, help="Disc-process level index m.")
 @click.option("--r", "radii", type=float, multiple=True, required=True,
               help="Disc radius; repeat for a sweep.")
-@click.option("--route", type=click.Choice(["int1", "int3", "shirai", "geometric", "both"]),
+@click.option("--route", type=click.Choice([*ROUTES, "both"]),
               default=None, help="Variance route; 'both' compares the two "
                                  "routes of the chosen geometry.")
 @_quad_options
@@ -150,29 +156,17 @@ def variance(euclidean, n, nu, m, radii, route, rel_tol, abs_tol, fmt, output):
         if n is None:
             _fail("--euclidean requires --n", EXIT_INVALID)
         level = _guarded(EuclideanLevel, n)
-        route = route or "shirai"
-        route_fns = {"shirai": variance_euclidean_shirai,
-                     "geometric": variance_euclidean_geometric}
-        if route == "both":
-            fns = [route_fns["shirai"], route_fns["geometric"]]
-        elif route in route_fns:
-            fns = [route_fns[route]]
-        else:
-            _fail(f"route {route!r} is not a planar route", EXIT_INVALID)
+        geometry = "planar"
     else:
         if nu is None or m is None:
             _fail("disc-process variance requires --nu and --m "
                   "(or pass --euclidean with --n)", EXIT_INVALID)
         level = _guarded(HyperbolicLevel, nu, m)
-        route = route or "int1"
-        route_fns = {"int1": variance_hyperbolic,
-                     "int3": variance_hyperbolic_via_transformed}
-        if route == "both":
-            fns = [route_fns["int1"], route_fns["int3"]]
-        elif route in route_fns:
-            fns = [route_fns[route]]
-        else:
-            _fail(f"route {route!r} is not a disc route", EXIT_INVALID)
+        geometry = "disc"
+    route = route or DEFAULT_ROUTE[geometry]
+    if route != "both" and ROUTES[route][1] != geometry:
+        _fail(f"route {route!r} is not a {geometry} route", EXIT_INVALID)
+    fns = [fn for name, (fn, geo) in ROUTES.items() if geo == geometry and route in (name, "both")]
     rows = []
     for r in radii:
         for fn in fns:

@@ -19,16 +19,17 @@ from 64 nodes up to 8192, and leaves the active set once it passes the
 acceptance test.  The first comparison, 64 against 128 nodes, is one call
 on every row and the nodes of both rules; each later doubling is one call
 on the rows still active.  Each row reports the largest rule it summed,
-which sizes the callers' rounding bounds.  No integrand call sees more
+which sizes the rounding bound.  No integrand call sees more
 than ``_NODE_BLOCK`` = 2^20 nodes (8 MB per array of doubles).  The rules
 are the package's own (:func:`_legendre_rule`, Newton's method on the
 Legendre recurrence), built with numpy alone and cached per call shape.
 
 :func:`integrate_interval` integrates one callable from a to b as its
-breakpoint pieces, the rows of one :func:`_gauss_legendre` call, and
-raises :class:`QuadratureFailure` when the tolerance is missed.
-:func:`integrate_rows`, the public row interface, skips empty rows and
-hands the rest to :func:`_gauss_legendre`, to one vectorized tanh-sinh
+breakpoint pieces, the rows of one :func:`_gauss_legendre` call; its error
+carries the rounding of the rules, so callers add only their own terms.
+:func:`_certify` is the one tolerance check of every integral, variance and
+constant.  :func:`integrate_rows`, the public row interface, skips empty rows
+and hands the rest to :func:`_gauss_legendre`, to one vectorized tanh-sinh
 call, or to one QUADPACK call per row, because QUADPACK is scalar.
 """
 
@@ -143,9 +144,14 @@ def _within_tol(err, value, abs_tol, rel_tol):
     return (err <= abs_tol) | (err <= rel_tol * abs(value))
 
 
-def _kronrod_converged(value, err, config: QuadratureConfig) -> bool:
-    # the acceptance limit of the QUADPACK scheme: ten tolerances
-    return err <= config.tolerance(value) * 10.0
+def _certify(value, error, config: QuadratureConfig, where: str, *fields):
+    """``error`` if ``value`` is finite and ``error <= config.tolerance(value)``, else
+    :class:`QuadratureFailure`; its message ends in ``where.format(*fields)``,
+    formatted only then.  A nan error never passes."""
+    if abs(value) < math.inf and error <= config.tolerance(value):
+        return error
+    raise QuadratureFailure(f"error estimate {error:.3e} exceeds tolerance "
+                            f"{config.tolerance(value):.3e} " + where.format(*fields))
 
 
 def _row_blocks(count: int, nodes_per_row: int):
@@ -248,7 +254,8 @@ def integrate_rows(f, a, b, config: QuadratureConfig):
                 lambda x: float(f(np.array([x]), k)[0]), a[k], b[k],
                 epsabs=config.abs_tol, epsrel=config.rel_tol,
                 limit=_QUADPACK_LIMIT)
-            value[k], err[k], converged[k] = v, e, _kronrod_converged(v, e, config)
+            # QUADPACK's acceptance limit: ten tolerances
+            value[k], err[k], converged[k] = v, e, e <= config.tolerance(v) * 10.0
         nodes[active] = 1
         return value, err, converged, nodes
     # tanh_sinh: the row index travels as an argument, which scipy subsets
@@ -281,14 +288,15 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig,
     integrand call sees the nodes of all pieces still refining.  The value
     is signed: b < a gives exactly minus the integral from b to a, whose
     pieces it integrates and sums.  Taking the pieces in order from a,
-    :class:`QuadratureFailure` is raised at the first prefix that has not
-    converged and whose summed error estimate is not within the tolerance
-    of its summed value (a nan estimate never is).  Returns ``(value,
-    error_estimate, nodes)``, ``nodes`` the largest rule any piece summed,
-    which sizes a rounding bound.
+    :func:`_certify` raises :class:`QuadratureFailure` at the first prefix
+    that has not converged and whose summed error estimate is not within
+    the tolerance of its summed value (a nan estimate never is).  Returns
+    ``(value, error)``: the summed estimates plus the rounding bound
+    (2 N + 16) eps |value|, N the largest rule any piece summed, which the
+    package's rules meet (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013)).
     """
     if a == b:
-        return 0.0, 0.0, 0
+        return 0.0, 0.0
     lo, hi = min(a, b), max(a, b)
     cuts = sorted({a, b, *(p for p in breakpoints if lo < p < hi)})
     pieces = (lambda x, rows: f(x), np.array(cuts[:-1]), np.array(cuts[1:]))
@@ -297,16 +305,13 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig,
     else:
         values, errs, oks, nodes = integrate_rows(*pieces, config)
     from_a = list(zip(values.tolist(), errs.tolist(), oks.tolist()))[::-1 if b < a else 1]
-    total, err = 0.0, 0.0
-    converged = True
+    total, err, converged = 0.0, 0.0, True
     for v, e, ok in from_a:
         total += v
         err += e
         converged = converged and ok
-        if not converged and not err <= config.tolerance(total):
-            raise QuadratureFailure(
-                f"error estimate {err:.3e} exceeds tolerance "
-                f"{config.tolerance(total):.3e} on [{a}, {b}] with {config.scheme}")
+        if not converged:
+            _certify(total, err, config, "on [{}, {}] with {}", a, b, config.scheme)
     if b < a:   # minus the sums of the forward interval, in its order
         total, err = -float(np.cumsum(values)[-1]), float(np.cumsum(errs)[-1])
-    return total, err, int(nodes.max())
+    return total, err + _EPS * (2.0 * max(nodes.tolist()) + 16.0) * abs(total)

@@ -9,10 +9,12 @@ on the disc the area is the Gauss-Bonnet closed form and the rest a
 Gauss-Jacobi sum.  Both exact sums take their rules from one builder,
 :func:`_gauss_rule` (eigenvalue nodes, Christoffel weights, from the Jacobi
 matrix of the weight); the radial integrals use the Gauss-Legendre rules of
-:mod:`dppstats.quadrature`.  Each computation carries two route names (shirai
-and geometric, int1 and int3), so their agreement checks nothing.  Also here:
-the constant C of Var(N_r) ~ C / (1 - r^2) as r -> 1, a finite sum, and
-the curvature-rescaling table that links the disc family to the planar one.
+:mod:`dppstats.quadrature`, whose errors carry those rules' rounding, and one
+check, :func:`dppstats.quadrature._certify`, holds every variance and C to the
+tolerance.  Each computation carries two route names (shirai and geometric,
+int1 and int3), so their agreement checks nothing.  Also here: the constant C
+of Var(N_r) ~ C / (1 - r^2) as r -> 1, a finite sum, and the
+curvature-rescaling table that links the disc family to the planar one.
 
 Conventions.  The radial reduction of the disc-process variance is
 
@@ -41,7 +43,7 @@ import numpy as np
 from .exceptions import DomainError, QuadratureFailure, TruncationFailure
 from .geometry import _lens_area, _lens_complement
 from .kernels import EuclideanLevel, HyperbolicLevel, _radial_profile
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate_interval
+from .quadrature import DEFAULT_QUAD, QuadratureConfig, _certify, integrate_interval
 from .specfun import _jacobi_zero_beta_gap
 
 __all__ = ["VarianceResult", "ContractionRow", "variance_euclidean_shirai",
@@ -154,9 +156,8 @@ def _variance_planar(level: EuclideanLevel, r: float, quad: QuadratureConfig,
     <= abs_tol/4.  If 4 r^2 <= c the exact rest at 4 r^2 joins the value.  Else the
     quadrature stops at sqrt(c), at 3/4 rel_tol, and the rest bound (A <= pi r^2)
     joins the error: max(2/pi abs_tol, 3/4 rel_tol V) + abs_tol/4 <= tolerance(V).
-    The error also carries the rounding bound (2 N + 16) eps times the integral, N the
-    largest rule any piece summed, as in :func:`_variance_disc`, and
-    :class:`QuadratureFailure` is raised if the sum misses the tolerance."""
+    The integral's error carries its rule's rounding (:func:`integrate_interval`);
+    :func:`dppstats.quadrature._certify` checks the sum against the tolerance."""
     import scipy.special as special   # once per call: its C eval_laguerre runs in the integrand
     if not (r > 0.0 and math.isfinite(4.0 * r * r)):
         raise DomainError(f"r must be positive with 4 r^2 finite, got {r}")
@@ -173,16 +174,12 @@ def _variance_planar(level: EuclideanLevel, r: float, quad: QuadratureConfig,
         scaled = np.exp(-0.5 * rho * rho) * special.eval_laguerre(n, rho * rho)  # e^{-t/2} L_n(t)
         return rho * scaled * scaled * _lens_complement(r, rho)   # every node is at most 2r
 
-    value, err, nodes = integrate_interval(
+    value, err = integrate_interval(
         f, 0.0, min(2.0 * r, math.sqrt(c)),
         quad if exact else replace(quad, rel_tol=0.75 * quad.rel_tol))
-    err += _EPS * (2.0 * nodes + 16.0) * value
     total = 2.0 / math.pi * value + exact * rest
-    err_total = 2.0 / math.pi * err + (not exact) * rest
-    if not err_total <= quad.tolerance(total):
-        raise QuadratureFailure(
-            f"planar variance at n={n}, r={r}: error {err_total:.3e} "
-            f"exceeds tolerance {quad.tolerance(total):.3e}")
+    err_total = _certify(total, 2.0 / math.pi * err + (not exact) * rest, quad,
+                         "for the planar variance at n={}, r={}", n, r)
     return VarianceResult(total, err_total, route)
 
 
@@ -284,16 +281,13 @@ def _variance_disc(level: HyperbolicLevel, r: float, quad: QuadratureConfig,
     (:func:`dppstats.geometry._lens_area`), which is lens_max from u = R on;
     the second integral is :func:`_weight_tail`.  The first runs in
     u = R - w^2, which removes the square-root behaviour of I at the kink
-    and hands the lens R - u = w^2 exactly.  Its error is the one that
-    :func:`integrate_interval` checked, plus a rounding bound: (2 n + 16) eps
-    relative for an n-node Gauss-Legendre rule, which the package's rules meet
-    (n the largest rule any piece summed, as :func:`integrate_interval`
-    reports it), u = R - w^2 moves
-    the peak of the weight by eps R, the tail's prefactor is an exponential
-    and its sum is good to 4 (m + 1)^2 eps relative (the rounded arguments of
-    P_m meet its slope, up to m^2 times its size; the rule's weights lose a few
-    (m + 1) eps).  :class:`QuadratureFailure` is raised if the sum misses the
-    tolerance.
+    and hands the lens R - u = w^2 exactly.  Its error is
+    :func:`integrate_interval`'s, which carries its rule's rounding, plus the
+    route's own terms: u = R - w^2 moves the peak of the weight by eps R (the
+    resolution), the tail's prefactor is an exponential and its sum is good
+    to 4 (m + 1)^2 eps relative (the rounded arguments of P_m meet its slope,
+    up to m^2 times its size; the rule's weights lose a few (m + 1) eps).
+    :func:`dppstats.quadrature._certify` checks the sum against the tolerance.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r}")
@@ -314,16 +308,13 @@ def _variance_disc(level: HyperbolicLevel, r: float, quad: QuadratureConfig,
         return 2.0 * w * _radial_weight(level, u) * _lens_area(R, u, gap)
 
     breakpoints = (math.sqrt(R - peak),) if 8.0 * peak < R else ()
-    value, err, nodes = integrate_interval(f, 0.0, math.sqrt(R), quad, breakpoints)
+    value, err = integrate_interval(f, 0.0, math.sqrt(R), quad, breakpoints)
     log_tail, log_size = _weight_tail(level, R)
     rest = 0.5 * math.pi * math.sinh(0.5 * R) ** 2 * math.exp(log_tail)   # lens_max x tail
-    rounding = ((_EPS * (2.0 * nodes + 16.0) + resolution) * value
-                + _EPS * (8.0 + 4.0 * (level.m + 1) ** 2 + log_size) * rest)
-    total, err_total = 4.0 * math.pi * (value + rest), 4.0 * math.pi * (err + rounding)
-    if not err_total <= quad.tolerance(total):
-        raise QuadratureFailure(
-            f"disc variance at nu={level.nu}, m={level.m}, r={r}: error {err_total:.3e} "
-            f"exceeds tolerance {quad.tolerance(total):.3e}")
+    rounding = resolution * value + _EPS * (8.0 + 4.0 * (level.m + 1) ** 2 + log_size) * rest
+    total = 4.0 * math.pi * (value + rest)
+    err_total = _certify(total, 4.0 * math.pi * (err + rounding), quad,
+                         "for the disc variance at nu={}, m={}, r={}", level.nu, level.m, r)
     return VarianceResult(total, err_total, route)
 
 
@@ -357,8 +348,11 @@ def asymptotic_constant(level: HyperbolicLevel,
 
     with (z_k, v_k) from :func:`_tail_rule` at (beta + 1/2, a = -1/2): (m + 1)^2
     positive terms, summed exactly.  At m = 0, C = 1/B(beta, 1/2); always
-    C <= beta = 2 (nu - m) - 1.  :class:`QuadratureFailure` if a rounding
-    bound misses ``quad.tolerance(C)``, the sum is not finite and positive or C
+    C <= beta = 2 (nu - m) - 1.  The rounding bound is 16 (m + 1)^2 eps for
+    the sum and 8 eps for the prefactor 1/B(beta, 1/2), a ratio of gammas up to
+    beta = 100 and Stirling's series past it, within 5 eps of 40-digit values.
+    :class:`QuadratureFailure` if the rounding misses ``quad.tolerance(C)``
+    (:func:`dppstats.quadrature._certify`), C is not finite and positive or C
     exceeds beta by more than its rounding.
     """
     beta, m = level.beta, level.m
@@ -366,21 +360,25 @@ def asymptotic_constant(level: HyperbolicLevel,
     z = z / (beta + 0.5)
     with np.errstate(all="ignore"):   # a P^2 past DBL_MAX makes the sum inf, raised below
         total = float(v @ _tail_sum(level, z, 1.0 - z))
-    # -log B(beta, 1/2): scipy's betaln differences lgammas past beta = 171 and loses up
-    # to 2e-9 there, so larger beta take Stirling's series, next term below 1.2e-3 beta^-7
-    b2 = beta * beta
+    # 1/B(beta, 1/2) = Gamma(beta + 1/2) / (Gamma(beta) sqrt(pi)); the bit beta + 1/2 drops
+    # past a power of 2 (133 eps at beta = 64) returns as Gamma(s + d) = Gamma(s)(1 + d psi(s)).
+    # Past 100, Stirling's series of the ratio over sqrt(beta/pi), next term < 1.2e-3 beta^-7
     if beta <= 100.0:
-        import scipy.special as special
-        parts = (-special.betaln(beta, 0.5),)
+        s = beta + 0.5
+        d = beta - (s - 0.5)     # exactly what the rounding dropped
+        prefactor = (math.gamma(s) * (1.0 + d * (math.log(s) - 0.5 / s))
+                     / (math.gamma(beta) * math.sqrt(math.pi)))
     else:
-        parts = (0.5 * math.log(beta / math.pi), (-0.125 + (1 / 192 - 1 / (640 * b2)) / b2) / beta)
-    value = math.exp(sum(parts)) * total
-    rounding = _EPS * (16.0 * (m + 1) ** 2 + sum(abs(x) for x in parts)) * value
-    if not (0.0 < value < math.inf and rounding <= quad.tolerance(value)
-            and value - rounding <= beta):
+        b2 = beta * beta
+        prefactor = (math.sqrt(beta / math.pi)
+                     * math.exp((-0.125 + (1 / 192 - 1 / (640 * b2)) / b2) / beta))
+    value = prefactor * total
+    rounding = _certify(value, _EPS * (16.0 * (m + 1) ** 2 + 8.0) * value, quad,
+                        "for the rounding of the limit constant at nu={}, m={}", level.nu, m)
+    if not (0.0 < value and value - rounding <= beta):
         raise QuadratureFailure(
-            f"limit constant at nu={level.nu}, m={level.m}: {value!r} with rounding "
-            f"{rounding:.3e} against tolerance {quad.tolerance(value):.3e} and bound {beta!r}")
+            f"limit constant at nu={level.nu}, m={m}: {value!r} with rounding "
+            f"{rounding:.3e} lies outside its bound (0, {beta!r}]")
     return value
 
 

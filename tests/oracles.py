@@ -420,12 +420,11 @@ def lens_integral(lens, r: float, z_modulus: float,
 
 def weight_tail_direct(level, u0: float, span: float = 6.0):
     """(value, error) of int_{u0}^{u0 + span} of the library's radial weight by
-    :func:`integrate_interval` at 1e-14 relative, plus the (2n + 16) eps rounding of
-    its n-node rule: the exact weight tail past u0 wherever the weight past
+    :func:`integrate_interval` at 1e-14 relative, whose error carries the rounding
+    of its rule: the exact weight tail past u0 wherever the weight past
     u0 + span, below sech^{2 beta}, is negligible (beta of 10 and more)."""
     quad = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300)
-    value, err, nodes = integrate_interval(lambda u: _radial_weight(level, u), u0, u0 + span, quad)
-    return value, err + (2.0 * nodes + 16.0) * np.finfo(float).eps * value
+    return integrate_interval(lambda u: _radial_weight(level, u), u0, u0 + span, quad)
 
 
 def disc_variance_quadrature_lens(level, r: float, lens=_lens_direct,
@@ -437,7 +436,8 @@ def disc_variance_quadrature_lens(level, r: float, lens=_lens_direct,
     it as (value, error), such as :func:`weight_tail_direct`; at every outer
     node the lens comes from the batched ``lens`` at a hundredth of the outer
     tolerance, and its error enters as sqrt(R) times the largest weighted inner
-    error.  The rounding of the n-node outer rule, 2 n eps relative, is added too.
+    error.  The outer error carries the rounding of its rule
+    (:func:`integrate_interval`).
     """
     R = 2.0 * math.atanh(r)
     inner = replace(quad, rel_tol=max(quad.rel_tol * 1e-2, 1e-13),
@@ -451,13 +451,11 @@ def disc_variance_quadrature_lens(level, r: float, lens=_lens_direct,
         inner_err_sup[0] = max(inner_err_sup[0], float(np.max(weight * err, initial=0.0)))
         return (weight * value).reshape(np.shape(w))
 
-    value, err, nodes = integrate_interval(outer, 0.0, math.sqrt(R), quad)
+    value, err = integrate_interval(outer, 0.0, math.sqrt(R), quad)
     tail_value, tail_err = tail(level, R) if tail else (math.exp(_weight_tail(level, R)[0]), 0.0)
     lens_max = 0.5 * math.pi * math.sinh(0.5 * R) ** 2
-    rounding = 2.0 * nodes * np.finfo(float).eps * value
     return (4.0 * math.pi * (value + lens_max * tail_value),
-            4.0 * math.pi * (err + math.sqrt(R) * inner_err_sup[0] + rounding
-                             + lens_max * tail_err))
+            4.0 * math.pi * (err + math.sqrt(R) * inner_err_sup[0] + lens_max * tail_err))
 
 
 def _radial_cutoff(level, envelope: float, abs_tol: float):
@@ -496,7 +494,7 @@ def asymptotic_constant_cutoff(level, quad: QuadratureConfig = DEFAULT_QUAD) -> 
 
     U, _ = _radial_cutoff(level, envelope, quad.abs_tol)
     peak = 8.0 * math.sqrt((m + 1) / beta)
-    value, _, _ = integrate_interval(outer, 0.0, U, quad, (peak,) if 8.0 * peak < U else ())
+    value, _ = integrate_interval(outer, 0.0, U, quad, (peak,) if 8.0 * peak < U else ())
     return 2.0 * math.pi * (value + math.pi * math.exp(_weight_tail(level, U)[0]))
 
 

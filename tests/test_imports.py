@@ -1,11 +1,12 @@
 """What ``import dppstats.cli`` loads, checked in a fresh interpreter.
 
-The import and the disc variance load no scipy module at all: the
-Gauss-Legendre and Gauss-Jacobi rules are the package's own.  The planar
-variance, the count law and the limit constant load scipy.special on first
-use but neither scipy.integrate (with scipy.optimize and scipy.sparse behind
-it) nor scipy.linalg, since the Gauss-Laguerre rule is the package's own too,
-and the other quadrature schemes import scipy.integrate when first used.
+The import, the disc variance and the limit constant load no scipy module at
+all: the Gauss-Legendre and Gauss-Jacobi rules are the package's own, and the
+constant's prefactor comes from ``math.gamma``.  The planar variance and the
+count law load scipy.special on first use but neither scipy.integrate (with
+scipy.optimize and scipy.sparse behind it) nor scipy.linalg, since the
+Gauss-Laguerre rule is the package's own too, and the other quadrature
+schemes import scipy.integrate when first used.
 """
 
 import json
@@ -33,6 +34,9 @@ state = {"import": loaded()}
 variance_hyperbolic(HyperbolicLevel(1.0, 0), 0.5)
 variance_hyperbolic_via_transformed(HyperbolicLevel(5.3, 2), 0.99)
 state["disc"] = loaded()
+asymptotic_constant(HyperbolicLevel(3.5, 2))
+asymptotic_constant(HyperbolicLevel(300.0, 0))
+state["constant"] = loaded()
 variance_euclidean_geometric(EuclideanLevel(3), 2.0)
 state["planar"] = loaded()
 profile = build_profile(nu=1.5, r=0.7)
@@ -61,6 +65,10 @@ def test_cli_import_loads_no_heavy_scipy_module(state):
 
 def test_disc_variance_loads_no_scipy_module(state):
     assert state["disc"] == []
+
+
+def test_limit_constant_loads_no_scipy_module(state):
+    assert state["constant"] == []
 
 
 def test_planar_variance_loads_no_linalg(state):

@@ -68,35 +68,35 @@ class TestIntegrateInterval:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_polynomial(self, scheme):
         cfg = QuadratureConfig(scheme=scheme, rel_tol=1e-11, abs_tol=1e-13)
-        val, err, _ = integrate_interval(lambda x: x * x, 0.0, 1.0, cfg)
+        val, err = integrate_interval(lambda x: x * x, 0.0, 1.0, cfg)
         assert val == pytest.approx(1.0 / 3.0, rel=1e-10)
         assert err >= 0.0
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_sine_with_breakpoint(self, scheme):
         cfg = QuadratureConfig(scheme=scheme, rel_tol=1e-11, abs_tol=1e-13)
-        val, _, _ = integrate_interval(np.sin, 0.0, math.pi, cfg, breakpoints=(1.0,))
+        val, _ = integrate_interval(np.sin, 0.0, math.pi, cfg, breakpoints=(1.0,))
         assert val == pytest.approx(2.0, rel=1e-10)
 
     def test_kinked_integrand_with_breakpoint(self):
         cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13)
-        val, _, _ = integrate_interval(lambda x: np.abs(x - 0.5), 0.0, 1.0, cfg,
-                                       breakpoints=(0.5,))
+        val, _ = integrate_interval(lambda x: np.abs(x - 0.5), 0.0, 1.0, cfg,
+                                    breakpoints=(0.5,))
         assert val == pytest.approx(0.25, rel=1e-12)
 
     def test_empty_interval(self):
-        assert integrate_interval(np.sin, 1.0, 1.0, QuadratureConfig()) == (0.0, 0.0, 0)
+        assert integrate_interval(np.sin, 1.0, 1.0, QuadratureConfig()) == (0.0, 0.0)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("breakpoints", [(), (0.25,)])
     def test_reversed_interval_is_signed(self, scheme, breakpoints):
         # from 1 to 0 is minus the integral from 0 to 1, as for a row of integrate_rows
         cfg = QuadratureConfig(scheme=scheme, rel_tol=1e-11, abs_tol=1e-13)
-        val, err, _ = integrate_interval(lambda x: x, 1.0, 0.0, cfg, breakpoints)
+        val, err = integrate_interval(lambda x: x, 1.0, 0.0, cfg, breakpoints)
         assert val == pytest.approx(-0.5, rel=1e-12) and err >= 0.0
         row, _, _, _ = integrate_rows(lambda x, rows: x, 1.0, 0.0, cfg)
         assert row[0] == pytest.approx(-0.5, rel=1e-12)
-        forward, _, _ = integrate_interval(lambda x: x, 0.0, 1.0, cfg, breakpoints)
+        forward, _ = integrate_interval(lambda x: x, 0.0, 1.0, cfg, breakpoints)
         assert val == -forward
 
     @pytest.mark.parametrize("f", [lambda x: x, np.exp, np.sin, lambda x: np.sqrt(x + 1.1),
@@ -105,12 +105,12 @@ class TestIntegrateInterval:
     @pytest.mark.parametrize("cuts", [0, 1, 2])
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 0.5), (0.3, 1.4)])
     def test_reversed_interval_is_the_negated_forward_one(self, f, cuts, a, b):
-        # bit for bit, value, error and rule: the reversed interval sums the
-        # pieces of the forward one (summing the mirrored nodes missed by an ulp)
+        # bit for bit, value and error: the reversed interval sums the pieces
+        # of the forward one (summing the mirrored nodes missed by an ulp)
         breakpoints = (a + 0.3 * (b - a), a + 0.7 * (b - a))[:cuts]
         cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
-        val, err, nodes = integrate_interval(f, a, b, cfg, breakpoints)
-        assert integrate_interval(f, b, a, cfg, breakpoints) == (-val, err, nodes)
+        val, err = integrate_interval(f, a, b, cfg, breakpoints)
+        assert integrate_interval(f, b, a, cfg, breakpoints) == (-val, err)
 
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (math.nan, 1.0), (0.0, math.nan)])
     def test_nan_raises(self, small_budget, a, b):
@@ -163,11 +163,11 @@ class TestIntegrateInterval:
             return np.sqrt(x + a) + np.sqrt(3.0 + b - x)
 
         cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
-        val, _, nodes = integrate_interval(f, 0.0, 3.0, cfg, breakpoints=(2.0, 1.0, 5.0))
+        val, err = integrate_interval(f, 0.0, 3.0, cfg, breakpoints=(2.0, 1.0, 5.0))
         exact = 2.0 / 3.0 * ((3.0 + a) ** 1.5 - a ** 1.5 + (3.0 + b) ** 1.5 - b ** 1.5)
         assert val == pytest.approx(exact, rel=1e-12)
         assert calls == [(3, 192), (2, 256), (1, 512)]
-        assert nodes == 512
+        assert err >= (2 * 512 + 16) * EPS * val      # the rounding of the 512-node rule
 
     def test_pieces_sum_as_rows_of_integrate_rows(self):
         # one engine: each piece's value, error and rule through integrate_rows,
@@ -186,14 +186,53 @@ class TestIntegrateInterval:
         cuts = np.array([0.0, 1.0, 2.0, 3.0])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quadrature, "_gauss_legendre", spy)
-            val, err, nodes = integrate_interval(f, 0.0, 3.0, cfg, breakpoints=(2.0, 1.0))
+            val, err = integrate_interval(f, 0.0, 3.0, cfg, breakpoints=(2.0, 1.0))
         (pieces, piece_errs, _, piece_nodes), = seen
         rows = integrate_rows(lambda x, k: f(x), cuts[:-1], cuts[1:], cfg)
         for got, want in zip(rows, seen[0]):
             np.testing.assert_array_equal(got, want)
-        assert (val, err) == (pieces[0] + pieces[1] + pieces[2],
-                              piece_errs[0] + piece_errs[1] + piece_errs[2])
-        assert nodes == piece_nodes.max() and rows[2].all()
+        total = pieces[0] + pieces[1] + pieces[2]
+        # the rounding bound of the largest rule integrate_rows reports
+        rounding = EPS * (2.0 * rows[3].max() + 16.0) * abs(total)
+        assert (val, err) == (total, piece_errs[0] + piece_errs[1] + piece_errs[2] + rounding)
+        assert rows[3].max() > 2 * quadrature._GL_FIRST_NODES and rows[2].all()
+
+    def test_error_carries_the_rounding_of_the_largest_rule(self):
+        # x^2 on [0, 1] converges at the 128-node rule: the error is the difference
+        # of the 64- and 128-node sums plus that rule's rounding bound, and the
+        # reversed interval gives exactly (-value, error)
+        cfg = QuadratureConfig()
+        val, err = integrate_interval(lambda x: x * x, 0.0, 1.0, cfg)
+        row, row_err, _, row_nodes = integrate_rows(lambda x, k: x * x, 0.0, 1.0, cfg)
+        assert row_nodes[0] == 128 and val == row[0] == pytest.approx(1.0 / 3.0, rel=2 * EPS)
+        assert err == row_err[0] + (2 * 128 + 16) * EPS * val
+        assert integrate_interval(lambda x: x * x, 1.0, 0.0, cfg) == (-val, err)
+        # the weights of every rule sum to exactly 2, so for a constant the two
+        # sums agree and the error is the rounding bound alone
+        assert integrate_interval(np.ones_like, 0.0, 1.0, cfg) == (1.0, (2 * 128 + 16) * EPS)
+
+
+class TestCertify:
+    CFG = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
+
+    def test_error_at_the_tolerance_passes(self):
+        for value in (0.0, 1e-6, -2.0, 5.0):
+            tol = self.CFG.tolerance(value)
+            assert quadrature._certify(value, tol, self.CFG, "at {}", value) == tol
+
+    @pytest.mark.parametrize("value, error", [
+        (math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan),
+        (1.0, math.nextafter(1e-9, math.inf)), (0.0, math.nextafter(1e-12, math.inf))])
+    def test_non_finite_value_nan_error_or_one_ulp_over_raises(self, value, error):
+        with pytest.raises(QuadratureFailure, match=r"exceeds tolerance .* at x=7$"):
+            quadrature._certify(value, error, self.CFG, "at x={}", 7)
+
+    def test_message_is_formatted_only_on_failure(self):
+        class Fields:
+            def __format__(self, spec):
+                raise AssertionError("formatted on success")
+
+        assert quadrature._certify(1.0, 0.0, self.CFG, "{}", Fields()) == 0.0
 
 
 class TestIntegrateRows:
@@ -205,7 +244,7 @@ class TestIntegrateRows:
         val, err, ok, _ = integrate_rows(lambda x, k: np.sin(freq[k] * x), 0.0, hi, cfg)
         assert ok.all() and (err >= 0.0).all()
         for k in range(freq.size):
-            ref, _, _ = integrate_interval(lambda x: np.sin(freq[k] * x), 0.0, hi[k], cfg)
+            ref, _ = integrate_interval(lambda x: np.sin(freq[k] * x), 0.0, hi[k], cfg)
             assert val[k] == pytest.approx(ref, rel=1e-10)
             assert val[k] == pytest.approx((1 - math.cos(freq[k] * hi[k])) / freq[k],
                                            rel=1e-10)
