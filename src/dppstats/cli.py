@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands front the library: ``variance`` (single values and r-sweeps on
-either geometry, with selectable routes), ``asymptotics`` (the
+either geometry; each geometry has one computation, and ``--route`` picks
+which of its route names in :data:`dppstats.variance.ROUTES` labels the
+rows), ``asymptotics`` (the
 (1-r^2) Var(N_r) -> C table), ``distribution`` (exact count law and
 optional Monte Carlo) and ``contraction`` (curvature-rescaling table).
 All emit CSV (default) or JSON to stdout or to ``--output``.
@@ -32,9 +34,8 @@ from .counting import build_profile, distribution, generating_function, sample_d
 from .exceptions import DomainError, QuadratureFailure, TruncationFailure
 from .kernels import EuclideanLevel, HyperbolicLevel
 from .quadrature import QuadratureConfig
-from .variance import (asymptotic_constant, contraction_check,
-                       variance_euclidean_geometric, variance_euclidean_shirai,
-                       variance_hyperbolic, variance_hyperbolic_via_transformed)
+from .variance import (ROUTES, asymptotic_constant, contraction_check,
+                       variance_euclidean_shirai, variance_hyperbolic)
 
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
@@ -43,13 +44,6 @@ DEFAULT_REL_TOL = 1e-9
 DEFAULT_ABS_TOL = 1e-12
 DEFAULT_EPSILON = 1e-12
 DEFAULT_SEED = 0
-
-# each variance route: its function and its geometry; 'both' runs a geometry's two in order
-ROUTES = {"int1": (variance_hyperbolic, "disc"),
-          "int3": (variance_hyperbolic_via_transformed, "disc"),
-          "shirai": (variance_euclidean_shirai, "planar"),
-          "geometric": (variance_euclidean_geometric, "planar")}
-DEFAULT_ROUTE = {"disc": "int1", "planar": "shirai"}
 
 
 def _fmt(x) -> str:
@@ -144,9 +138,12 @@ def cli():
 @click.option("--m", type=int, default=None, help="Disc-process level index m.")
 @click.option("--r", "radii", type=float, multiple=True, required=True,
               help="Disc radius; repeat for a sweep.")
-@click.option("--route", type=click.Choice([*ROUTES, "both"]),
-              default=None, help="Variance route; 'both' compares the two "
-                                 "routes of the chosen geometry.")
+@click.option("--route", default=None,
+              type=click.Choice([name for names in ROUTES.values() for name in names]
+                                + ["both"]),
+              help="Route name that labels the rows (default: the geometry's "
+                   "first); 'both' prints the geometry's one computation under "
+                   "each route name.")
 @_quad_options
 @_output_options
 def variance(euclidean, n, nu, m, radii, route, rel_tol, abs_tol, fmt, output):
@@ -156,22 +153,22 @@ def variance(euclidean, n, nu, m, radii, route, rel_tol, abs_tol, fmt, output):
         if n is None:
             _fail("--euclidean requires --n", EXIT_INVALID)
         level = _guarded(EuclideanLevel, n)
-        geometry = "planar"
+        geometry, compute = "planar", variance_euclidean_shirai
     else:
         if nu is None or m is None:
             _fail("disc-process variance requires --nu and --m "
                   "(or pass --euclidean with --n)", EXIT_INVALID)
         level = _guarded(HyperbolicLevel, nu, m)
-        geometry = "disc"
-    route = route or DEFAULT_ROUTE[geometry]
-    if route != "both" and ROUTES[route][1] != geometry:
+        geometry, compute = "disc", variance_hyperbolic
+    names = ROUTES[geometry]
+    route = route or names[0]
+    if route != "both" and route not in names:
         _fail(f"route {route!r} is not a {geometry} route", EXIT_INVALID)
-    fns = [fn for name, (fn, geo) in ROUTES.items() if geo == geometry and route in (name, "both")]
+    labels = names if route == "both" else (route,)
     rows = []
     for r in radii:
-        for fn in fns:
-            res = _guarded(fn, level, r, quad)
-            rows.append([r, res.value, res.error_estimate, res.route])
+        res = _guarded(compute, level, r, quad)
+        rows += [[r, res.value, res.error_estimate, label] for label in labels]
     if fmt == "csv":
         _emit(_csv(["r", "value", "error_estimate", "route"], rows), output)
     else:
@@ -205,12 +202,12 @@ def asymptotics(nu, m, radii, rel_tol, abs_tol, fmt, output):
     else:
         _emit(_json({"command": "asymptotics", "nu": nu, "m": m,
                      "constant": constant, "bound": level.beta,
-                     "route": "int1",
+                     "route": ROUTES["disc"][0],
                      "rows": [{"r": r, "scaled_variance": s, "ratio": q}
                               for r, s, _, q in rows]}), output)
 
 
-@cli.command()
+@cli.command("distribution")
 @click.option("--nu", type=float, required=True, help="Disc-process parameter nu (> 1/2).")
 @click.option("--r", type=float, required=True, help="Disc radius in (0, 1).")
 @click.option("--epsilon", type=float, default=DEFAULT_EPSILON, show_default=True,
@@ -275,15 +272,10 @@ def contraction(m, r, scales, rel_tol, abs_tol, fmt, output):
                     for w in rows]), output)
     else:
         _emit(_json({"command": "contraction", "m": m, "r": r,
-                     "route": "int1",
+                     "route": ROUTES["disc"][0],
                      "rows": [{"scale": w.scale, "scaled_variance": w.scaled_variance,
                                "euclidean_target": w.euclidean_target, "ratio": w.ratio}
                               for w in rows]}), output)
-
-
-# expose 'distribution' as the subcommand name while keeping a distinct
-# function name (the library already exports distribution())
-cli.add_command(distribution_cmd, name="distribution")
 
 
 def main():

@@ -135,7 +135,7 @@ def build_profile(nu: float, r: float, epsilon: float = 1e-12) -> BernoulliProfi
         raise DomainError(f"r must lie in (0, 1), got {r}")
     if not 0.0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
-    import scipy.special as special   # its betainc; the disc routes run without scipy
+    import scipy.special as special   # its betainc; the disc variance runs without scipy
     x = r * r
     b = 2.0 * nu - 1.0
     blocks, start, n = [], 0, min(_FIRST_BLOCK, _HARD_CAP)

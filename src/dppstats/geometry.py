@@ -10,7 +10,7 @@ Radial symmetry is exploited throughout: the lens quantities depend only
 on ``|z|``, so the integral operations take a modulus, not a point.
 
 The hyperbolic lens integral is a closed form by Gauss-Bonnet, vectorised
-in u = atanh(|z|) for the disc variance routes (``_lens_area``).
+in u = atanh(|z|) for the disc variance (``_lens_area``).
 """
 
 from __future__ import annotations

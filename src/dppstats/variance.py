@@ -11,9 +11,10 @@ Gauss-Jacobi sum.  Both exact sums take their rules from one builder,
 matrix of the weight); the radial integrals use the Gauss-Legendre rules of
 :mod:`dppstats.quadrature`, whose errors carry those rules' rounding, and one
 check, :func:`dppstats.quadrature._certify`, holds every variance and C to the
-tolerance.  Each computation carries two route names (shirai and geometric,
-int1 and int3), so their agreement checks nothing.  Also here: the constant C
-of Var(N_r) ~ C / (1 - r^2) as r -> 1, a finite sum, and the
+tolerance.  :data:`ROUTES` lists each geometry's route names: the first labels
+its one computation, the second is an alias that returns the same numbers under
+its own label, so the two names check nothing against each other.  Also here:
+the constant C of Var(N_r) ~ C / (1 - r^2) as r -> 1, a finite sum, and the
 curvature-rescaling table that links the disc family to the planar one.
 
 Conventions.  The radial reduction of the disc-process variance is
@@ -50,19 +51,21 @@ __all__ = ["VarianceResult", "ContractionRow", "variance_euclidean_shirai",
            "variance_euclidean_geometric", "variance_hyperbolic",
            "variance_hyperbolic_via_transformed", "asymptotic_constant", "contraction_check"]
 
-ROUTES = ("shirai", "geometric", "int1", "int3")
+# each geometry's route names; the first labels its one computation, the second an alias
+ROUTES = {"disc": ("int1", "int3"), "planar": ("shirai", "geometric")}
+_LABELS = frozenset(name for names in ROUTES.values() for name in names)
 
 
 @dataclass(frozen=True)
 class VarianceResult:
-    """A variance value, its error estimate and the route that produced it."""
+    """A variance value, its error estimate and its route name (:data:`ROUTES`)."""
 
     value: float
     error_estimate: float
     route: str
 
     def __post_init__(self):
-        if self.route not in ROUTES:
+        if self.route not in _LABELS:
             raise ValueError(f"unknown route {self.route!r}")
 
 
@@ -126,7 +129,7 @@ def _gauss_rule(diag, off):
 def _laguerre_tails(n: int, rule, cuts):
     """int_c^inf L_n(t)^2 e^{-t} dt at each cut c by the (n + 1)-point Gauss-Laguerre
     rule (nodes, root weights): exact for degree 2n, every term positive."""
-    import scipy.special as special   # the planar route's only; the disc routes run without scipy
+    import scipy.special as special   # the planar variance's only; the disc one runs without scipy
     cuts = np.asarray(cuts, dtype=float)[..., None]
     terms = rule[1] * np.exp(-0.5 * cuts) * special.eval_laguerre(n, cuts + rule[0])
     return np.sum(terms * terms, axis=-1)
@@ -149,13 +152,20 @@ def _laguerre_rule(n: int):
     return rule, cuts, _laguerre_tails(n, rule, cuts)
 
 
-def _variance_planar(level: EuclideanLevel, r: float, quad: QuadratureConfig,
-                     route: str) -> VarianceResult:
-    """V = (2/pi) int_0^inf rho e^{-rho^2} L_n(rho^2)^2 A(rho) drho, A(rho) = |D_r^c cap
-    D_r(rho)|, pi r^2 past 2r; c is the first cut with rest r^2 :func:`_laguerre_tails`
-    <= abs_tol/4.  If 4 r^2 <= c the exact rest at 4 r^2 joins the value.  Else the
-    quadrature stops at sqrt(c), at 3/4 rel_tol, and the rest bound (A <= pi r^2)
-    joins the error: max(2/pi abs_tol, 3/4 rel_tol V) + abs_tol/4 <= tolerance(V).
+def variance_euclidean_shirai(level: EuclideanLevel, r: float,
+                              quad: QuadratureConfig = DEFAULT_QUAD) -> VarianceResult:
+    """Planar count variance, the plane's one computation (route shirai).
+
+    Shirai's (r/pi) int L_n(t)^2 e^{-t} g(t) dt, whose factor is the lens area,
+    r g(t) = A(sqrt(t)): V = (2/pi) int_0^inf rho e^{-rho^2} L_n(rho^2)^2 A(rho) drho,
+    A(rho) = |D_r^c cap D_r(rho)|, pi r^2 past 2r; c is the first cut with rest
+    r^2 :func:`_laguerre_tails` <= abs_tol/4.  If 4 r^2 <= c the exact rest at 4 r^2
+    joins the value and its rounding, (8 + 4 r^2 + (n + 1)^2) eps of it, the error:
+    e^{-t} at a rounded t = 4 r^2 moves by 4 r^2 eps, and against 200-digit sums
+    the rest was within 210 eps up to n = 187 and 0.26 (n + 1)^2 eps at n = 188,
+    where one weight of the rule is subnormal.  Else the quadrature stops at
+    sqrt(c), at 3/4 rel_tol, and the rest bound (A <= pi r^2) joins the error:
+    max(2/pi abs_tol, 3/4 rel_tol V) + abs_tol/4 <= tolerance(V).
     The integral's error carries its rule's rounding (:func:`integrate_interval`);
     :func:`dppstats.quadrature._certify` checks the sum against the tolerance."""
     import scipy.special as special   # once per call: its C eval_laguerre runs in the integrand
@@ -178,22 +188,17 @@ def _variance_planar(level: EuclideanLevel, r: float, quad: QuadratureConfig,
         f, 0.0, min(2.0 * r, math.sqrt(c)),
         quad if exact else replace(quad, rel_tol=0.75 * quad.rel_tol))
     total = 2.0 / math.pi * value + exact * rest
-    err_total = _certify(total, 2.0 / math.pi * err + (not exact) * rest, quad,
+    rest_err = _EPS * (8.0 + 4.0 * r2 + (n + 1) ** 2) * rest if exact else rest
+    err_total = _certify(total, 2.0 / math.pi * err + rest_err, quad,
                          "for the planar variance at n={}, r={}", n, r)
-    return VarianceResult(total, err_total, route)
-
-
-def variance_euclidean_shirai(level: EuclideanLevel, r: float,
-                              quad: QuadratureConfig = DEFAULT_QUAD) -> VarianceResult:
-    """Planar count variance by Shirai's (r/pi) int L_n(t)^2 e^{-t} g(t) dt: his
-    factor is the lens area, r g(t) = A(sqrt(t)), so this is the geometric route."""
-    return _variance_planar(level, r, quad, "shirai")
+    return VarianceResult(total, err_total, "shirai")
 
 
 def variance_euclidean_geometric(level: EuclideanLevel, r: float,
                                  quad: QuadratureConfig = DEFAULT_QUAD) -> VarianceResult:
-    """Planar count variance with the lens area of :mod:`dppstats.geometry`."""
-    return _variance_planar(level, r, quad, "geometric")
+    """:func:`variance_euclidean_shirai`'s result under the route name geometric."""
+    res = variance_euclidean_shirai(level, r, quad)
+    return VarianceResult(res.value, res.error_estimate, "geometric")
 
 
 def _check_weight_envelope(level: HyperbolicLevel) -> None:
@@ -209,7 +214,7 @@ def _check_weight_envelope(level: HyperbolicLevel) -> None:
 
 
 def _radial_weight(level: HyperbolicLevel, u):
-    """Radial weight of the disc routes in u = atanh(rho), for an array ``u``.
+    """Radial weight of the disc variance in u = atanh(rho), for an array ``u``.
 
     tanh u cosh^2 u (beta/pi sech^{2 (nu - m)} u P_m^{(0, beta)}(2 sech^2 u - 1))^2,
     i.e. rho (1 - rho^2)^{-1} times the profile of
@@ -273,17 +278,19 @@ def _weight_tail(level: HyperbolicLevel, u0: float):
     return sum(parts), sum(abs(x) for x in parts)
 
 
-def _variance_disc(level: HyperbolicLevel, r: float, quad: QuadratureConfig,
-                   route: str) -> VarianceResult:
-    """V = 4 pi [int_0^R w(u) I(u) du + lens_max int_R^inf w(u) du], R = 2 atanh r.
+def variance_hyperbolic(level: HyperbolicLevel, r: float,
+                        quad: QuadratureConfig = DEFAULT_QUAD) -> VarianceResult:
+    """Disc-process count variance, the disc's one computation (route int1).
+
+    V = 4 pi [int_0^R w(u) I(u) du + lens_max int_R^inf w(u) du], R = 2 atanh r.
 
     w is :func:`_radial_weight` and I the closed-form lens area
     (:func:`dppstats.geometry._lens_area`), which is lens_max from u = R on;
     the second integral is :func:`_weight_tail`.  The first runs in
     u = R - w^2, which removes the square-root behaviour of I at the kink
     and hands the lens R - u = w^2 exactly.  Its error is
-    :func:`integrate_interval`'s, which carries its rule's rounding, plus the
-    route's own terms: u = R - w^2 moves the peak of the weight by eps R (the
+    :func:`integrate_interval`'s, which carries its rule's rounding, plus its own
+    terms: u = R - w^2 moves the peak of the weight by eps R (the
     resolution), the tail's prefactor is an exponential and its sum is good
     to 4 (m + 1)^2 eps relative (the rounded arguments of P_m meet its slope,
     up to m^2 times its size; the rule's weights lose a few (m + 1) eps).
@@ -315,22 +322,16 @@ def _variance_disc(level: HyperbolicLevel, r: float, quad: QuadratureConfig,
     total = 4.0 * math.pi * (value + rest)
     err_total = _certify(total, 4.0 * math.pi * (err + rounding), quad,
                          "for the disc variance at nu={}, m={}, r={}", level.nu, level.m, r)
-    return VarianceResult(total, err_total, route)
-
-
-def variance_hyperbolic(level: HyperbolicLevel, r: float,
-                        quad: QuadratureConfig = DEFAULT_QUAD) -> VarianceResult:
-    """Disc-process count variance: one radial integral of the closed-form lens
-    area with an exact rest past the kink (:func:`_variance_disc`)."""
-    return _variance_disc(level, r, quad, "int1")
+    return VarianceResult(total, err_total, "int1")
 
 
 def variance_hyperbolic_via_transformed(level: HyperbolicLevel, r: float,
                                         quad: QuadratureConfig = DEFAULT_QUAD) -> VarianceResult:
-    """The computation of :func:`variance_hyperbolic` under the route name int3; the
+    """:func:`variance_hyperbolic`'s result under the route name int3; the
     independent checks are :func:`dppstats.counting.variance_series` at m = 0 and
     the quadrature-lens oracle of the test suite at m > 0."""
-    return _variance_disc(level, r, quad, "int3")
+    res = variance_hyperbolic(level, r, quad)
+    return VarianceResult(res.value, res.error_estimate, "int3")
 
 
 def asymptotic_constant(level: HyperbolicLevel,
@@ -399,7 +400,7 @@ def contraction_check(m: int, r: float, R_values: Sequence[float],
     """
     if m < 0 or m != int(m):
         raise DomainError(f"m must be a non-negative integer, got {m}")
-    target = variance_euclidean_geometric(EuclideanLevel(int(m)), r, quad).value  # checks r
+    target = variance_euclidean_shirai(EuclideanLevel(int(m)), r, quad).value  # checks r
     rows = []
     for R in R_values:
         if not R > 1.0:

@@ -1,9 +1,10 @@
-"""Print the md5 of the standard output of ten fixed ``dppstats`` commands.
+"""Print the md5 of the standard output of thirteen fixed ``dppstats`` commands.
 
 Run it in two checkouts and compare the lines: equal digests mean the CLI
 prints the same bytes, covering the disc and planar variance (CSV and
-JSON, both routes), the asymptotic constant, the contraction table and the
-count law with and without samples.
+JSON, each route name and both), the planar level with the largest rule,
+the asymptotic constant, the contraction table and the count law with and
+without samples.
 
     python tests/cli_digests.py
 
@@ -33,6 +34,9 @@ COMMANDS = (
     "variance --euclidean --n 0 --r 3 --format json",
     "distribution --nu 1.5 --r 0.7 --s 0.5 --s -0.3",
     "distribution --nu 2 --r 0.95 --samples 5000 --seed 3",
+    "variance --nu 1.6 --m 1 --r 0.6 --route int3",
+    "variance --euclidean --n 2 --r 0.5 --route geometric",
+    "variance --euclidean --n 188 --r 0.1 --r 0.5",
 )
 
 

@@ -47,6 +47,30 @@ class TestVarianceCommand:
         assert [row[3] for row in rows] == ["shirai", "geometric"]
         assert float(rows[0][1]) == pytest.approx(float(rows[1][1]), rel=1e-6)
 
+    @pytest.mark.parametrize("geometry, args, labels", [
+        ("variance_hyperbolic", ["--nu", "1.6", "--m", "1"], ["int1", "int3"]),
+        ("variance_euclidean_shirai", ["--euclidean", "--n", "2"], ["shirai", "geometric"])])
+    def test_both_routes_compute_once_per_radius(self, runner, monkeypatch,
+                                                 geometry, args, labels):
+        # each geometry has one computation; 'both' prints it under each route name
+        from dppstats import cli as cli_module
+
+        real, calls = getattr(cli_module, geometry), []
+
+        def counted(level, r, quad):
+            calls.append(r)
+            return real(level, r, quad)
+
+        monkeypatch.setattr(cli_module, geometry, counted)
+        result = runner.invoke(cli, ["variance", *args, "--r", "0.3", "--r", "0.6",
+                                     "--route", "both"])
+        assert result.exit_code == 0
+        assert calls == [0.3, 0.6]
+        _, rows = csv_rows(result.output)
+        assert [(float(row[0]), row[3]) for row in rows] == [(r, label) for r in (0.3, 0.6)
+                                                             for label in labels]
+        assert rows[0][1:3] == rows[1][1:3] and rows[2][1:3] == rows[3][1:3]
+
     def test_radius_sweep_row_per_radius(self, runner):
         result = runner.invoke(cli, ["variance", "--nu", "1", "--m", "0",
                                      "--r", "0.3", "--r", "0.6"])
@@ -124,6 +148,7 @@ class TestAsymptoticsCommand:
                                      "--r", "0.9", "--format", "json"])
         payload = json.loads(result.output)
         assert payload["constant"] <= payload["bound"]
+        assert payload["route"] == "int1"
 
 
 class TestLargeDegreeLevels:

@@ -89,6 +89,15 @@ class TestEuclideanRoutes:
                 res = route(EuclideanLevel(0), r)
                 assert abs(res.value - ref) <= res.error_estimate
 
+    @pytest.mark.parametrize("r", [0.1, 0.5])
+    def test_exact_rest_rounding_within_error_bars(self, r):
+        # at n = 188 one weight of the Gauss-Laguerre rule is subnormal and the exact
+        # rest is good to only ~1e3 eps; the error once left that rounding out, and
+        # the value missed the sector series by 357 (r = 0.1) and 83 (r = 0.5) bars
+        ref = planar_sector_variance(188, r)
+        res = variance_euclidean_shirai(EuclideanLevel(188), r)
+        assert abs(res.value - ref) <= res.error_estimate
+
     def test_ginibre_closed_form_to_rounding(self):
         # the value, not only its error bar: with scipy's Gauss-Legendre nodes the
         # median error was 2.2e-14, about n eps for the 128-node rule
@@ -329,6 +338,16 @@ class TestVarianceResult:
     def test_route_names_validated(self):
         with pytest.raises(ValueError):
             VarianceResult(1.0, 0.0, "bogus")
+
+    @pytest.mark.parametrize("compute, alias, level, r", [
+        (variance_hyperbolic, variance_hyperbolic_via_transformed, HyperbolicLevel(1.6, 1), 0.6),
+        (variance_hyperbolic, variance_hyperbolic_via_transformed, HyperbolicLevel(60.0, 30), 0.3),
+        (variance_euclidean_shirai, variance_euclidean_geometric, EuclideanLevel(188), 0.1)])
+    def test_alias_relabels_the_one_computation(self, compute, alias, level, r):
+        # the geometry's first route name labels its computation, the second the alias
+        a, b = compute(level, r), alias(level, r)
+        assert (a.route, b.route) in variance.ROUTES.values()
+        assert (b.value, b.error_estimate) == (a.value, a.error_estimate)
 
     def test_fields_populated(self):
         res = variance_hyperbolic(HyperbolicLevel(1.0, 0), 0.5)
