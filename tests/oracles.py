@@ -1,12 +1,15 @@
 """Reference forms that only the tests use.
 
 Direct forms of quantities the library computes another way: the incomplete
-beta integral by adaptive quadrature, its ratio to the complete integral
-through scipy's regularized incomplete beta function, and the success
-probabilities of the m = 0 count law as negative-binomial tail sums, the
-second form that every count-law profile is held to.  The count law's pmf
-and sampler have their sequential forms here: the Bernoulli recurrence one
-factor at a time, and the comparison of ``Generator.random()`` against p.
+beta integral by adaptive quadrature, and its ratio to the complete integral
+through scipy's regularized incomplete beta function and through mpmath's at
+40 digits, the independent references of the m = 0 count law's success
+probabilities p_j and their complements q_j.  The negative-binomial tail
+sums that the library itself uses for p_j are here too, in a plain
+one-rescaling form that sums the whole tail past J, and their head sums at
+50 digits give exact products of the q_j.  The count law's pmf and sampler
+have their sequential forms here: the Bernoulli recurrence one factor at a
+time, and the comparison of ``Generator.random()`` against p.
 
 The planar count variances have three closed references: the Ginibre form
 and Kostlan's Bernoulli sum at n = 0, and Shirai's sector series at every
@@ -87,6 +90,30 @@ def incomplete_beta_ratio(r: float, j: int, b: float) -> float:
     return float(special.betainc(int(j), b, r * r))
 
 
+def incomplete_beta_pair_mp(j: int, b: float, x: float, dps: int = 40):
+    """(p_j, q_j) = (I_x(j, b), 1 - I_x(j, b)) as mpmath numbers at ``dps`` digits,
+    the double x taken exactly.  q_j is I_{1-x}(b, j), an integral from 0 in
+    its own right, so that it keeps its digits where p_j is near 1 (mpmath
+    forms an integral over [x, 1] as a difference)."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        return (mpmath.betainc(j, b, 0, x, regularized=True),
+                mpmath.betainc(b, j, 0, 1 - x, regularized=True))
+
+
+def negative_binomial_heads_mp(b: float, x: float, J: int, dps: int = 50) -> list:
+    """q_1..q_J as mpmath numbers at ``dps`` digits, the double x taken exactly:
+    q_j = sum_{k < j} t_k with t_0 = (1 - x)^b and t_k / t_{k-1} = x (k - 1 + b) / k."""
+    with mpmath.workdps(dps):
+        x, b = mpmath.mpf(x), mpmath.mpf(b)
+        term, total, heads = (1 - x) ** b, mpmath.mpf(0), []
+        for k in range(J):
+            total += term
+            heads.append(+total)
+            term *= x * (k + b) / (k + 1)
+        return heads
+
+
 # tail_sum_form sums until the omitted terms are below this share of the
 # smallest normal p_j it returns
 _TAIL_SUM_REL = 1e-18
@@ -94,13 +121,15 @@ _TINY = np.finfo(float).tiny
 
 
 def tail_sum_form(b: float, x: float, n: int) -> np.ndarray:
-    """p_1..p_n as tails of the negative-binomial law, independent of betainc.
+    """p_1..p_n as tails of the negative-binomial law.
 
-    I_x(j, b) = sum_{k >= j} t_k with t_1 = b x (1-x)^b and
-    t_{k+1} / t_k = x (k + b) / (k + 1).  log t_k is a cumulative sum of
-    log x + log1p((b - 1) / (k + 1)), which keeps its absolute error near
-    machine precision out to k ~ 10^5 (lgamma differences lose ~1e-10
-    there).  The sum runs past n until the geometric bound on the omitted
+    This is the library's own identity, not an independent check (mpmath
+    and scipy's betainc are those); it serves for the sums past J that
+    bound the truncation.  I_x(j, b) = sum_{k >= j} t_k with
+    t_1 = b x (1-x)^b and t_{k+1} / t_k = x (k + b) / (k + 1).  log t_k is
+    a cumulative sum of log x + log1p((b - 1) / (k + 1)), which keeps its
+    absolute error near machine precision out to k ~ 10^5 (lgamma
+    differences lose ~1e-10 there).  The sum runs past n until the geometric bound on the omitted
     terms is below _TAIL_SUM_REL times the smallest normal p_j wanted,
     and is accumulated from the far end after one common rescaling.
     """
@@ -161,12 +190,12 @@ def profile_tail(b: float, x: float, J: int) -> float:
         n *= 2
 
 
-def sequential_pmf(probs: np.ndarray) -> np.ndarray:
-    """The Poisson-binomial pmf by the recurrence over one factor at a time."""
+def sequential_pmf(complements: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The Poisson-binomial pmf by the recurrence over one factor q_j + p_j z at a time."""
     pmf = np.array([1.0])
-    for p in probs:
+    for q, p in zip(complements, probs):
         nxt = np.zeros(len(pmf) + 1)
-        nxt[:-1] = pmf * (1.0 - p)
+        nxt[:-1] = pmf * q
         nxt[1:] += pmf * p
         pmf = nxt
     return pmf

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,8 +14,9 @@ from dppstats import (BernoulliProfile, DomainError, HyperbolicLevel,
                       sample_counts, sample_distribution, variance_hyperbolic,
                       variance_series)
 from dppstats import counting
-from oracles import (incomplete_beta, incomplete_beta_ratio, inverse_cdf_histogram,
-                     profile_tail, sequential_pmf, tail_sum_mismatch)
+from oracles import (incomplete_beta, incomplete_beta_pair_mp, incomplete_beta_ratio,
+                     inverse_cdf_histogram, negative_binomial_heads_mp, profile_tail,
+                     sequential_pmf, tail_sum_mismatch)
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
@@ -103,13 +105,35 @@ class TestBuildProfile:
         assert ratio > 0.99
         assert quadrature_form(1.0, 0.999, 1) == pytest.approx(ratio, rel=1e-10)
 
-    def test_matches_scalar_ratio_loop_bit_for_bit(self):
+    def test_matches_scalar_betainc_loop(self):
+        # the same J, and p_j and the bound within 2 (J + 64) eps of scipy's
+        # betainc, which has rounding errors of its own
         for nu, r in PROFILE_GRID:
             probs, tail = scalar_profile(nu, r)
             profile = build_profile(nu, r)
-            assert profile.truncation == len(probs)
-            assert np.array_equal(profile.probabilities, probs)
-            assert profile.tail_bound == tail
+            J = profile.truncation
+            assert J == len(probs)
+            rel = 2.0 * (J + 64) * EPS
+            assert np.all(np.abs(profile.probabilities - probs) <= rel * probs)
+            assert abs(profile.tail_bound - tail) <= rel * tail
+
+    @pytest.mark.parametrize("nu, r", PROFILE_GRID + [(1.0, 0.9999), (300.0, 0.65)])
+    def test_pairs_match_forty_digits(self, nu, r):
+        # p_j and q_j within (J + 64) eps of mpmath at both ends, on both sides
+        # of the index where the smaller sum changes sides, and in the middle.
+        # Without compensation the sum of log t_k misses: summed plainly it is
+        # 1 736 eps off at (1, 0.99), where J + 64 = 1 633, and summed from 0 in
+        # blocks of 256, whose partial sums reach 330 at (300, 0.65), 1 745 eps
+        # off there, where J + 64 = 724
+        profile = build_profile(nu, r)
+        p, q = profile.probabilities, profile.complements
+        J = profile.truncation
+        split = int(np.count_nonzero(q < p))
+        rel = (J + 64) * EPS
+        for j in sorted({1, 2, split, split + 1, (split + J) // 2, J - 1, J} & set(range(1, J + 1))):
+            p_mp, q_mp = incomplete_beta_pair_mp(j, 2.0 * nu - 1.0, r * r)
+            assert abs(p[j - 1] - p_mp) <= rel * p_mp
+            assert abs(q[j - 1] - q_mp) <= rel * q_mp
 
     def test_reaches_unit_radius_at_largest_nu(self):
         # the quadrature form used to disagree by 1e-10 relative here
@@ -155,20 +179,33 @@ class TestBuildProfile:
         assert profile.truncation == 1
         assert 0.0 < profile.probabilities[0] < np.finfo(float).tiny
 
-    def test_each_index_is_evaluated_once(self, monkeypatch):
-        requested = []
-        betainc = special.betainc
+    def test_terms_are_extended_not_restarted(self, monkeypatch):
+        # the first estimate of the terms needed falls short here
+        calls, log_terms = [], counting._log_terms
 
-        def recording(j, b, x):
-            requested.append(np.array(j))
-            return betainc(j, b, x)
+        def recording(last, start, stop, log_x, c):
+            calls.append((start, stop))
+            return log_terms(last, start, stop, log_x, c)
 
-        monkeypatch.setattr(special, "betainc", recording)
-        profile = build_profile(1.0, 0.999)
-        assert len(requested) > 1              # the build doubled its block
-        indices = np.concatenate(requested)
-        assert np.array_equal(indices, np.arange(1, indices.size + 1))
-        assert indices.size >= profile.truncation
+        monkeypatch.setattr(counting, "_log_terms", recording)
+        profile = build_profile(20.0, 0.99, epsilon=1e-20)
+        assert len(calls) > 1
+        assert calls[0][0] == 0
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(calls, calls[1:]))
+        assert calls[-1][1] > profile.truncation
+
+    @pytest.mark.parametrize("nu", [5e5, 1e308])
+    def test_law_past_the_cap_raises_before_summing(self, nu, monkeypatch):
+        # rho_j >= 1 for every j up to the cap; at nu = 1e308, 2 nu - 1 is inf
+        monkeypatch.setattr(counting, "_log_terms", None)
+        with pytest.raises(TruncationFailure, match="not reached"):
+            build_profile(nu, 0.5)
+
+    def test_radius_whose_square_underflows(self):
+        profile = build_profile(2.0, 1e-170)
+        assert np.array_equal(profile.probabilities, [0.0])
+        assert np.array_equal(profile.complements, [1.0])
+        assert profile.tail_bound == 0.0
 
     def test_truncation_beyond_one_hundred_thousand(self):
         # J = 180 732 at (1, 0.9999); Var = r^2 / (1 - r^4) at nu = 1
@@ -229,6 +266,16 @@ class TestGeneratingFunction:
                 rhs = float((law.pmf * (1 + s) ** ns).sum())
                 assert lhs == pytest.approx(rhs, rel=1e-9)
 
+    @pytest.mark.parametrize("s", [-1.0 + 2.0 ** -30, -1.0 + 1e-6, -0.999])
+    def test_near_minus_one_matches_fifty_digits(self, s):
+        # log1p(s p_j) cancels as s -> -1 where p_j -> 1: 2.3e-9 off at s = -1 + 2^-30
+        profile = build_profile(6.0, 0.9)
+        J = profile.truncation
+        with mpmath.workdps(50):
+            exact = mpmath.fprod(q + (1 + mpmath.mpf(s)) * (1 - q)
+                                 for q in negative_binomial_heads_mp(11.0, 0.81, J))
+        assert abs(generating_function(profile, s) - exact) <= 4 * (J + 1) * EPS * exact
+
     def test_domain(self):
         profile = build_profile(1.0, 0.5)
         with pytest.raises(DomainError):
@@ -245,7 +292,8 @@ class TestGeneratingFunction:
 
 
 def manual_profile(probs):
-    return BernoulliProfile(nu=1.0, r=0.5, probabilities=np.asarray(probs, dtype=float),
+    probs = np.asarray(probs, dtype=float)
+    return BernoulliProfile(nu=1.0, r=0.5, probabilities=probs, complements=1.0 - probs,
                             tail_bound=0.0)
 
 
@@ -253,7 +301,7 @@ def assert_matches_sequential_pmf(profile):
     """Every oracle entry at or above the smallest normal double is within
     2 J eps relative, and the pmf spans {0, ..., J}."""
     pmf = distribution(profile).pmf
-    ref = sequential_pmf(profile.probabilities)
+    ref = sequential_pmf(profile.complements, profile.probabilities)
     J = profile.truncation
     assert pmf.shape == (J + 1,)
     assert np.all(pmf >= 0.0)
@@ -264,13 +312,13 @@ def assert_matches_sequential_pmf(profile):
 
 class TestDistribution:
     def test_point_mass_for_zero_profile(self):
-        profile = BernoulliProfile(nu=1.0, r=0.1, probabilities=np.zeros(5),
-                                   tail_bound=0.0)
+        profile = manual_profile(np.zeros(5))
         law = distribution(profile)
         assert law.pmf[0] == 1.0
         assert law.pmf[1:].sum() == 0.0
         assert law.mean == 0.0 and law.variance == 0.0
-        assert np.array_equal(law.pmf, sequential_pmf(profile.probabilities))
+        assert np.array_equal(law.pmf, sequential_pmf(profile.complements,
+                                                      profile.probabilities))
 
     def test_zero_profile_beyond_one_block(self):
         law = distribution(manual_profile(np.zeros(1000)))
@@ -286,10 +334,11 @@ class TestDistribution:
         for J in (2, 17, 32):
             probs = rng.random(J)
             assert np.array_equal(distribution(manual_profile(probs)).pmf,
-                                  sequential_pmf(probs))
+                                  sequential_pmf(1.0 - probs, probs))
 
     def test_certain_factors_shift_the_law(self):
-        # p_j == 1.0 exactly zeroes the low end, which the tree trims away
+        # p_1 rounds to 1.0 while q_1 = e^-50.68: the low end underflows, and
+        # the tree trims it away
         profile = build_profile(6.0, 0.995)
         assert profile.probabilities[0] == 1.0
         law = distribution(profile)
@@ -314,6 +363,24 @@ class TestDistribution:
         profile = build_profile(nu, r)
         assume(profile.truncation <= 20000)
         assert_matches_sequential_pmf(profile)
+
+    def test_empty_law_is_the_product_of_complements(self):
+        # 1 - p_j formed from a rounded p_j left pmf[0] 3.4e-9 relative off here
+        profile = build_profile(6.0, 0.9)
+        J = profile.truncation
+        assert J == 254
+        with mpmath.workdps(50):
+            exact = mpmath.fprod(negative_binomial_heads_mp(11.0, 0.81, J))
+        pmf0 = distribution(profile).pmf[0]
+        assert abs(pmf0 - exact) <= 4 * (J + 1) * EPS * exact
+
+    def test_log_complements_match_fifty_digits(self):
+        # the sum of log1p(-p_j) is 1.6e-8 off here, for 1 - p_1 = 3.1e-9
+        profile = build_profile(3.0, 0.99)
+        J = profile.truncation
+        with mpmath.workdps(50):
+            exact = mpmath.fsum(mpmath.log(q) for q in negative_binomial_heads_mp(5.0, 0.9801, J))
+        assert abs(float(np.log(profile.complements).sum()) - exact) <= (J + 1) * EPS
 
     def test_pmf_sums_to_one(self):
         for nu, r in [(1.0, 0.5), (1.5, 0.7), (3.0, 0.9)]:
@@ -446,9 +513,7 @@ class TestSampling:
                                   sample_counts(profile, 1, 5000))
 
     def test_zero_profile_all_zero_draws(self):
-        profile = BernoulliProfile(nu=1.0, r=0.1, probabilities=np.zeros(4),
-                                   tail_bound=0.0)
-        hist = sample_counts(profile, 0, 500)
+        hist = sample_counts(manual_profile(np.zeros(4)), 0, 500)
         assert hist[0] == 500 and hist[1:].sum() == 0
 
     def test_moments_within_statistical_bands(self):
@@ -506,7 +571,7 @@ class TestSampling:
     def test_thresholds_follow_the_bernoulli_law(self, profile):
         # the sampled CDF t_k 2^-53 against the sequential product of the J factors
         J = profile.truncation
-        ref = np.cumsum(sequential_pmf(profile.probabilities))[:-1]
+        ref = np.cumsum(sequential_pmf(profile.complements, profile.probabilities))[:-1]
         implied = np.ldexp(counting._cdf_thresholds(distribution(profile).pmf).astype(float), -53)
         assert np.abs(implied - ref).max() <= (J + 2) * EPS
 
