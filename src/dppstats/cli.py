@@ -33,15 +33,13 @@ import click
 from .counting import build_profile, distribution, generating_function, sample_distribution
 from .exceptions import DomainError, QuadratureFailure, TruncationFailure
 from .kernels import EuclideanLevel, HyperbolicLevel
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_QUAD, QuadratureConfig
 from .variance import (ROUTES, asymptotic_constant, contraction_check,
                        variance_euclidean_shirai, variance_hyperbolic)
 
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
-DEFAULT_REL_TOL = 1e-9
-DEFAULT_ABS_TOL = 1e-12
 DEFAULT_EPSILON = 1e-12
 DEFAULT_SEED = 0
 
@@ -102,9 +100,9 @@ def _guarded(fn, *args, **kwargs):
 
 
 def _quad_options(fn):
-    fn = click.option("--rel-tol", type=float, default=DEFAULT_REL_TOL,
+    fn = click.option("--rel-tol", type=float, default=DEFAULT_QUAD.rel_tol,
                       show_default=True, help="Relative quadrature tolerance.")(fn)
-    fn = click.option("--abs-tol", type=float, default=DEFAULT_ABS_TOL,
+    fn = click.option("--abs-tol", type=float, default=DEFAULT_QUAD.abs_tol,
                       show_default=True, help="Absolute quadrature tolerance.")(fn)
     return fn
 
@@ -116,13 +114,6 @@ def _output_options(fn):
                       help="Output file (default: stdout); relative paths "
                            "resolve against $DPPSTATS_OUTPUT_DIR.")(fn)
     return fn
-
-
-def _make_quad(rel_tol, abs_tol) -> QuadratureConfig:
-    try:
-        return QuadratureConfig(rel_tol=rel_tol, abs_tol=abs_tol)
-    except ValueError as exc:
-        _fail(str(exc), EXIT_INVALID)
 
 
 @click.group()
@@ -148,7 +139,7 @@ def cli():
 @_output_options
 def variance(euclidean, n, nu, m, radii, route, rel_tol, abs_tol, fmt, output):
     """Count variance in centred discs; one row per (r, route)."""
-    quad = _make_quad(rel_tol, abs_tol)
+    quad = _guarded(QuadratureConfig, rel_tol=rel_tol, abs_tol=abs_tol)
     if euclidean:
         if n is None:
             _fail("--euclidean requires --n", EXIT_INVALID)
@@ -188,7 +179,7 @@ def variance(euclidean, n, nu, m, radii, route, rel_tol, abs_tol, fmt, output):
 @_output_options
 def asymptotics(nu, m, radii, rel_tol, abs_tol, fmt, output):
     """Table of (1 - r^2) Var(N_r) against its r -> 1 limit constant."""
-    quad = _make_quad(rel_tol, abs_tol)
+    quad = _guarded(QuadratureConfig, rel_tol=rel_tol, abs_tol=abs_tol)
     level = _guarded(HyperbolicLevel, nu, m)
     constant = _guarded(asymptotic_constant, level, quad)
     rows = []
@@ -264,7 +255,7 @@ def distribution_cmd(nu, r, epsilon, s_values, samples, seed, fmt, output):
 @_output_options
 def contraction(m, r, scales, rel_tol, abs_tol, fmt, output):
     """Curvature-rescaling table: R^2 Var against the planar target."""
-    quad = _make_quad(rel_tol, abs_tol)
+    quad = _guarded(QuadratureConfig, rel_tol=rel_tol, abs_tol=abs_tol)
     rows = _guarded(contraction_check, m, r, scales, quad)
     if fmt == "csv":
         _emit(_csv(["scale", "scaled_variance", "euclidean_target", "ratio"],

@@ -1,15 +1,24 @@
-"""Print the md5 of the standard output of fourteen fixed ``dppstats`` commands.
+"""Check the md5 of the standard output of fourteen fixed ``dppstats`` commands.
 
-Run it in two checkouts and compare the lines: equal digests mean the CLI
-prints the same bytes, covering the disc and planar variance (CSV and
-JSON, each route name and both), the planar level with the largest rule,
-the asymptotic constant, the contraction table and the count law with and
-without samples, and at (6, 0.9), whose pmf runs down to 3.4e-101 at 0.
+The digests cover the disc and planar variance (CSV and JSON, each route
+name and both), the planar level with the largest rule, the asymptotic
+constant, the contraction table and the count law with and without
+samples, and at (6, 0.9), whose pmf runs down to 3.4e-101 at 0.  The
+expected lines are checked in next to this file as ``cli_digests.txt``:
 
     python tests/cli_digests.py
 
-The package is imported from the ``src`` directory next to this file, so
-nothing needs installing.  pytest does not collect this file.
+prints one line per command to standard output, in the format of that
+file, and after each line that differs from it a mark on standard error
+with the checked-in line.  It exits 1 if any line differs, any command is
+missing or any command exits non-zero, and 0 otherwise.  A change that
+moves the CLI's bytes on purpose rewrites the file with
+
+    python tests/cli_digests.py > tests/cli_digests.txt
+
+so that the moved digests show in its diff.  The package is imported from
+the ``src`` directory next to this file, so nothing needs installing.
+pytest does not collect this file.
 """
 
 import hashlib
@@ -17,11 +26,14 @@ import shlex
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
 
 from click.testing import CliRunner  # noqa: E402
 
 from dppstats.cli import cli  # noqa: E402
+
+EXPECTED = HERE / "cli_digests.txt"
 
 COMMANDS = (
     "variance --nu 1.6 --m 1 --r 0.3 --r 0.6 --r 0.9 --route both",
@@ -42,13 +54,22 @@ COMMANDS = (
 
 
 def main() -> int:
+    # a line is "digest  exit N  command"
+    expected = {line.split("  ", 2)[2]: line for line in EXPECTED.read_text().splitlines()}
     runner = CliRunner()
     failed = 0
     for command in COMMANDS:
         result = runner.invoke(cli, shlex.split(command))
-        failed += result.exit_code != 0
         digest = hashlib.md5(result.stdout_bytes).hexdigest()
-        print(f"{digest[:12]}  exit {result.exit_code}  {command}")
+        line = f"{digest[:12]}  exit {result.exit_code}  {command}"
+        print(line, flush=True)
+        old = expected.pop(command, "(no line)")
+        if line != old or result.exit_code != 0:
+            failed += 1
+            print(f"^ changed; {EXPECTED.name} has: {old}", file=sys.stderr, flush=True)
+    for old in expected.values():
+        failed += 1
+        print(f"not run; {EXPECTED.name} has: {old}", file=sys.stderr, flush=True)
     return 1 if failed else 0
 
 

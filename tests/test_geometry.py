@@ -274,7 +274,7 @@ class TestHyperbolicLensIntegral:
             assert 2 * val == pytest.approx(oracle, rel=1e-7)
 
     def test_scheme_cross_check(self):
-        # the angular quadrature oracle agrees with the closed form under every scheme
+        # the angular quadrature oracle agrees with the closed form under every scheme label
         closed = hyperbolic_lens_integral(0.6, 0.5).value
         for scheme in ("gauss_legendre_fixed", "adaptive_gauss_kronrod", "tanh_sinh"):
             cfg = QuadratureConfig(scheme=scheme, rel_tol=1e-11, abs_tol=1e-13)

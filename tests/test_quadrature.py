@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dppstats import QuadratureConfig, QuadratureFailure
+from dppstats import HyperbolicLevel, QuadratureConfig, QuadratureFailure, variance_hyperbolic
 from dppstats import quadrature
 from dppstats.quadrature import SCHEMES, integrate_interval, integrate_rows
 
@@ -62,6 +62,30 @@ class TestConfig:
         cfg = QuadratureConfig()
         with pytest.raises(AttributeError):
             cfg.rel_tol = 1.0
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_every_scheme_label_runs_the_one_engine(self, scheme):
+        # a scheme name is a label: interval (with breakpoints, and reversed),
+        # rows and a disc variance give the default's value and error, bit for bit
+        tol = dict(rel_tol=1e-11, abs_tol=1e-13)
+        cfg, default = QuadratureConfig(scheme=scheme, **tol), QuadratureConfig(**tol)
+
+        def f(x):
+            return np.sqrt(x + 1e-3) * np.cos(3.0 * x)
+
+        for a, b, cuts in [(0.0, 2.0, ()), (0.0, 2.0, (0.5, 1.2)), (2.0, 0.0, (0.5,))]:
+            assert integrate_interval(f, a, b, cfg, cuts) == integrate_interval(
+                f, a, b, default, cuts)
+        freq = np.array([1.0, 2.0, 5.0])
+
+        def g(x, k):
+            return np.sin(freq[k] * x)
+
+        for got, want in zip(integrate_rows(g, 0.0, np.arange(3.0), cfg),
+                             integrate_rows(g, 0.0, np.arange(3.0), default)):
+            np.testing.assert_array_equal(got, want)
+        level = HyperbolicLevel(1.6, 1)
+        assert variance_hyperbolic(level, 0.7, cfg) == variance_hyperbolic(level, 0.7, default)
 
 
 class TestIntegrateInterval:
