@@ -45,7 +45,7 @@ from .exceptions import DomainError, QuadratureFailure, TruncationFailure
 from .geometry import _lens_area, _lens_complement
 from .kernels import EuclideanLevel, HyperbolicLevel, _radial_profile
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, _certify, integrate_interval
-from .specfun import _jacobi_zero_beta_gap
+from .specfun import _jacobi_zero_beta_gap, _laguerre_product
 
 __all__ = ["VarianceResult", "ContractionRow", "variance_euclidean_shirai",
            "variance_euclidean_geometric", "variance_hyperbolic",
@@ -126,30 +126,32 @@ def _gauss_rule(diag, off):
     return y, w
 
 
-def _laguerre_tails(n: int, rule, cuts):
-    """int_c^inf L_n(t)^2 e^{-t} dt at each cut c by the (n + 1)-point Gauss-Laguerre
-    rule (nodes, root weights): exact for degree 2n, every term positive."""
-    import scipy.special as special   # the planar variance's only; the disc one runs without scipy
-    cuts = np.asarray(cuts, dtype=float)[..., None]
-    terms = rule[1] * np.exp(-0.5 * cuts) * special.eval_laguerre(n, cuts + rule[0])
-    return np.sum(terms * terms, axis=-1)
+def _laguerre_tail(n: int, rule, c: float) -> float:
+    """int_c^inf L_n(t)^2 e^{-t} dt by the (n + 1)-point Gauss-Laguerre rule (nodes,
+    root weights): exact for degree 2n, every term positive and scaled by e^{-c/2}
+    before it is squared."""
+    terms = _laguerre_product(n, c + rule[0]) * (math.exp(-0.5 * c) * rule[1])
+    return float(terms @ terms)
 
 
 @functools.cache
 def _laguerre_rule(n: int):
     """The rule, the cuts and the tails at them, cached per level.  The rule is
     :func:`_gauss_rule` of e^{-t} (diagonal 2k + 1, subdiagonal k) and must keep its
-    orthonormality sum w L_n(s)^2 = 1; then |L_n| < 1e240 wherever used."""
-    import scipy.special as special
+    orthonormality sum w L_n(s)^2 = 1, the tail at c = 0; then |L_n| < 1e271 wherever
+    used.  From n = 195 on the last weight underflows to 0, and the rule is refused
+    before L_n is formed: its product at the last node would overflow by n = 400."""
     k = np.arange(n + 1.0)
     nodes, weights = _gauss_rule(2.0 * k + 1.0, k[1:])
+    if not weights[-1]:
+        raise TruncationFailure(f"the last weight of the {n + 1}-point Gauss-Laguerre rule "
+                                f"underflows to 0")
     rule = nodes, np.sqrt(weights)
-    with np.errstate(all="ignore"):     # a rule that overflows fails the check below
-        norm = float(np.sum((rule[1] * special.eval_laguerre(n, nodes)) ** 2))
+    norm = _laguerre_tail(n, rule, 0.0)
     if not abs(norm - 1.0) <= 1e-12:
         raise TruncationFailure(f"the {n + 1}-point Gauss-Laguerre rule has norm {norm!r}")
     cuts = np.arange(4.0 * n + 40.0, _MAX_CUT, 20.0)
-    return rule, cuts, _laguerre_tails(n, rule, cuts)
+    return rule, cuts, np.array([_laguerre_tail(n, rule, c) for c in cuts.tolist()])
 
 
 def variance_euclidean_shirai(level: EuclideanLevel, r: float,
@@ -159,7 +161,7 @@ def variance_euclidean_shirai(level: EuclideanLevel, r: float,
     Shirai's (r/pi) int L_n(t)^2 e^{-t} g(t) dt, whose factor is the lens area,
     r g(t) = A(sqrt(t)): V = (2/pi) int_0^inf rho e^{-rho^2} L_n(rho^2)^2 A(rho) drho,
     A(rho) = |D_r^c cap D_r(rho)|, pi r^2 past 2r; c is the first cut with rest
-    r^2 :func:`_laguerre_tails` <= abs_tol/4.  If 4 r^2 <= c the exact rest at 4 r^2
+    r^2 :func:`_laguerre_tail` <= abs_tol/4.  If 4 r^2 <= c the exact rest at 4 r^2
     joins the value and its rounding, (8 + 4 r^2 + (n + 1)^2) eps of it, the error:
     e^{-t} at a rounded t = 4 r^2 moves by 4 r^2 eps, and against 200-digit sums
     the rest was within 210 eps up to n = 187 and 0.26 (n + 1)^2 eps at n = 188,
@@ -168,7 +170,6 @@ def variance_euclidean_shirai(level: EuclideanLevel, r: float,
     max(2/pi abs_tol, 3/4 rel_tol V) + abs_tol/4 <= tolerance(V).
     The integral's error carries its rule's rounding (:func:`integrate_interval`);
     :func:`dppstats.quadrature._certify` checks the sum against the tolerance."""
-    import scipy.special as special   # once per call: its C eval_laguerre runs in the integrand
     if not (r > 0.0 and math.isfinite(4.0 * r * r)):
         raise DomainError(f"r must be positive with 4 r^2 finite, got {r}")
     n, r2 = level.n, r * r
@@ -178,10 +179,11 @@ def variance_euclidean_shirai(level: EuclideanLevel, r: float,
         raise TruncationFailure(f"no cut below {_MAX_CUT} bounds the rest at n={n}, r={r}")
     c = float(cuts[bounded[0]])
     exact = 4.0 * r2 <= c
-    rest = r2 * float(_laguerre_tails(n, rule, 4.0 * r2) if exact else cut_tails[bounded[0]])
+    rest = r2 * (_laguerre_tail(n, rule, 4.0 * r2) if exact else float(cut_tails[bounded[0]]))
 
     def f(rho):
-        scaled = np.exp(-0.5 * rho * rho) * special.eval_laguerre(n, rho * rho)  # e^{-t/2} L_n(t)
+        t = rho * rho
+        scaled = np.exp(-0.5 * t) * _laguerre_product(n, t)      # e^{-t/2} L_n(t)
         return rho * scaled * scaled * _lens_complement(r, rho)   # every node is at most 2r
 
     value, err = integrate_interval(

@@ -92,12 +92,14 @@ class TestVarianceCommand:
         assert result.exit_code == 2
 
     def test_unresolvable_planar_level_exits_3(self, runner):
-        # past n ~ 190 the Gauss-Laguerre weights underflow; this used to
-        # end in an OverflowError traceback from 9.0 ** n
-        result = runner.invoke(cli, ["variance", "--euclidean", "--n", "400", "--r", "1"])
-        assert result.exit_code == 3
-        assert isinstance(result.exception, SystemExit)
-        assert result.stderr.startswith("error: ")
+        # past n = 188 the Gauss-Laguerre weights underflow; this used to end in
+        # an OverflowError traceback from 9.0 ** n, and L_n as a product over its
+        # zeros would overflow at the rule's last nodes (a RuntimeWarning)
+        for n in ("189", "400"):
+            result = runner.invoke(cli, ["variance", "--euclidean", "--n", n, "--r", "1"])
+            assert result.exit_code == 3
+            assert isinstance(result.exception, SystemExit)
+            assert result.stderr.startswith("error: ")
 
     def test_unreachable_tolerance_exits_3(self, runner):
         # the rounding bound of the limit constant misses rel_tol = 1e-30, so

@@ -1,16 +1,15 @@
-"""What ``import dppstats.cli`` loads, checked in a fresh interpreter.
+"""What ``import dppstats.cli`` and each computation load, checked in a fresh interpreter.
 
-The import, the disc variance, the limit constant and the m = 0 count law
-(profile, pmf, generating product and sampler) load no scipy module at all:
-the Gauss-Legendre and Gauss-Jacobi rules are the package's own, the
-constant's prefactor comes from ``math.gamma``, and the count law's success
-probabilities are negative-binomial sums in numpy.  The count law runs
-before the planar variance, so that nothing loaded earlier hides an import.
-The planar variance loads scipy.special on first use but neither
-scipy.integrate (with scipy.optimize and scipy.sparse behind it) nor
-scipy.linalg, since the Gauss-Laguerre rule is the package's own too.
-Every quadrature scheme label runs the one Gauss-Legendre engine, so none
-of them loads scipy.integrate either.
+The import, the disc variance, the limit constant, the m = 0 count law
+(profile, pmf, generating product and sampler) and the planar variance load
+no scipy module at all: the Gauss-Legendre, Gauss-Jacobi and Gauss-Laguerre
+rules are the package's own, the constant's prefactor comes from
+``math.gamma``, the count law's success probabilities are negative-binomial
+sums in numpy, and L_n is a product over its zeros, which the package
+computes itself.  The count law runs before the planar variance, so that
+nothing loaded earlier hides an import.  Every quadrature scheme label runs
+the one Gauss-Legendre engine, so none of them loads scipy.integrate either.
+A second interpreter runs every CLI subcommand, the planar variance among them.
 """
 
 import json
@@ -60,12 +59,35 @@ print(json.dumps(state))
 """
 
 
-@pytest.fixture(scope="module")
-def state():
+CLI_SCRIPT = """
+import contextlib, io, json, sys
+from dppstats.cli import cli
+
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(args, standalone_mode=False)
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+CLI_COMMANDS = [
+    ["variance", "--nu", "1.6", "--m", "1", "--r", "0.3", "--r", "0.9", "--route", "both"],
+    ["variance", "--euclidean", "--n", "2", "--r", "0.5", "--r", "4", "--route", "both"],
+    ["asymptotics", "--nu", "3.5", "--m", "2"],
+    ["distribution", "--nu", "1.5", "--r", "0.7", "--s", "0.5", "--samples", "100"],
+    ["contraction", "--m", "1", "--r", "1.2"],
+]
+
+
+def _run(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", *args], env=env, capture_output=True,
                          text=True, check=True)
     return json.loads(out.stdout)
+
+
+@pytest.fixture(scope="module")
+def state():
+    return _run(SCRIPT)
 
 
 def test_cli_import_loads_no_heavy_scipy_module(state):
@@ -80,9 +102,8 @@ def test_limit_constant_loads_no_scipy_module(state):
     assert state["constant"] == []
 
 
-def test_planar_variance_loads_no_linalg(state):
-    assert "scipy.linalg" not in state["planar"]
-    assert "scipy.integrate" not in state["planar"]
+def test_planar_variance_loads_no_scipy_module(state):
+    assert state["planar"] == []
 
 
 def test_count_law_loads_no_scipy_module(state):
@@ -91,3 +112,7 @@ def test_count_law_loads_no_scipy_module(state):
 
 def test_no_scheme_label_loads_scipy_integrate(state):
     assert "scipy.integrate" not in state["labels"]
+
+
+def test_cli_subcommands_load_no_scipy_module():
+    assert _run(CLI_SCRIPT, json.dumps(CLI_COMMANDS)) == []

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from scipy import special
 
 from dppstats import DomainError, jacobi_zero_beta, laguerre
-from oracles import incomplete_beta, incomplete_beta_ratio
+from dppstats.specfun import _laguerre_product, _laguerre_zeros
+from oracles import (incomplete_beta, incomplete_beta_ratio, laguerre_zeros_mp,
+                     scaled_laguerre_mp)
 
 
 def simpson(f, a, b, n=200001):
@@ -48,6 +51,49 @@ class TestLaguerre:
     def test_rejects_negative_degree(self):
         with pytest.raises(DomainError):
             laguerre(-1, 0.0)
+
+
+@functools.cache
+def scaled_laguerre_reference(n):
+    """A t-grid on (0, 4n + 60], past the largest zero, and e^{-t/2} L_n(t) there
+    at 60 digits."""
+    t = np.linspace(0.0, 4.0 * n + 60.0, 241)[1:]
+    return t, scaled_laguerre_mp(n, t)
+
+
+class TestLaguerreProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 30, 100, 188])
+    def test_zeros_correctly_rounded(self, n):
+        # Newton's method polishes the eigenvalues until every step is below half
+        # an ulp; the eigenvalues alone are up to 845 ulps off at n = 188, and one
+        # Newton step on the recurrence in plain doubles leaves them 2140 ulps off
+        zeros, inv = _laguerre_zeros(n)
+        assert zeros.shape == inv.shape == (n, 1)
+        assert np.all(np.diff(zeros[:, 0]) > 0.0)
+        for x, ref in zip(zeros[:, 0].tolist(), laguerre_zeros_mp(n, zeros[:, 0])):
+            assert abs(x - ref) <= np.spacing(x)
+
+    @pytest.mark.parametrize("n, bound", [(1, 4e-15), (2, 4e-15), (3, 4e-15), (10, 4e-15),
+                                          (30, 4e-15), (100, 1e-14), (188, 1e-14)])
+    def test_product_against_60_digits(self, n, bound):
+        # with the eigenvalues as zeros e^{-t/2} L_n(t) was 1.5e-14 off at n = 30 and
+        # 2.2e-13 off at n = 188, relative to its largest value on the grid
+        t, ref = scaled_laguerre_reference(n)
+        value = np.exp(-0.5 * t) * _laguerre_product(n, t)
+        assert np.abs(value - ref).max() <= bound * np.abs(ref).max()
+
+    def test_product_shapes_and_level_zero(self):
+        t = np.linspace(0.0, 9.0, 12).reshape(3, 4)
+        assert _laguerre_product(3, t).shape == (3, 4)
+        np.testing.assert_array_equal(_laguerre_product(0, t), np.ones((3, 4)))
+        np.testing.assert_allclose(_laguerre_product(1, t), 1.0 - t, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 30])
+    def test_recurrence_against_60_digits(self, n):
+        # the public laguerre stays the forward three-term recurrence
+        t, ref = scaled_laguerre_reference(n)
+        value = np.exp(-0.5 * t) * laguerre(n, t)
+        assert np.abs(value - ref).max() <= 4e-15 * np.abs(ref).max()
 
 
 class TestJacobiZeroBeta:

@@ -9,7 +9,7 @@ from scipy import integrate, special
 from dppstats import (DomainError, EuclideanLevel, HyperbolicLevel,
                       QuadratureConfig, QuadratureFailure, TruncationFailure,
                       VarianceResult, asymptotic_constant, build_profile,
-                      contraction_check, f_profile, quadrature, variance,
+                      contraction_check, f_profile, quadrature, specfun, variance,
                       variance_euclidean_geometric,
                       variance_euclidean_shirai, variance_hyperbolic,
                       variance_hyperbolic_via_transformed)
@@ -97,6 +97,26 @@ class TestEuclideanRoutes:
         ref = planar_sector_variance(188, r)
         res = variance_euclidean_shirai(EuclideanLevel(188), r)
         assert abs(res.value - ref) <= res.error_estimate
+
+    def test_laguerre_products_stay_finite(self):
+        # L_n is a product over its zeros; every partial product at every argument
+        # the route forms (t up to the last cut plus the rule's last node) stays
+        # finite and warns of nothing up to n = 188, where it peaks near 1e271
+        for n in sorted({*range(1, 189, 6), 187, 188}):
+            rule, _, _ = variance._laguerre_rule(n)
+            t = np.linspace(0.0, variance._MAX_CUT + rule[0][-1], 2001)
+            zeros, inv = specfun._laguerre_zeros(n)
+            with np.errstate(all="raise"):
+                partial = np.cumprod((zeros - t) * inv, axis=0)
+            assert np.isfinite(partial).all()
+
+    @pytest.mark.parametrize("n", [189, 194, 195, 400])
+    def test_unresolvable_level_raises_before_overflow(self, n):
+        # n = 189-194 fail the rule's norm check; from n = 195 its last weight is 0,
+        # and the rule is refused before L_n at its nodes, which overflows at n = 400
+        for route in PLANAR_ROUTES:
+            with pytest.raises(TruncationFailure, match="Gauss-Laguerre rule"):
+                route(EuclideanLevel(n), 1.0)
 
     def test_ginibre_closed_form_to_rounding(self):
         # the value, not only its error bar: with scipy's Gauss-Legendre nodes the
