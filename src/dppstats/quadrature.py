@@ -1,31 +1,36 @@
 """One-dimensional Gauss-Legendre quadrature with error estimates.
 
-One engine, :func:`_gauss_legendre`, node-doubling composite
-Gauss-Legendre, computes every integral in this package.  Its callers
-integrate smooth pieces (endpoint singularities are removed by
-substitutions first), so it converges spectrally; it runs on numpy alone.
-:class:`QuadratureConfig` carries the tolerances; its ``scheme`` field is a
-label, and every accepted name runs the same engine.
+Every integral in this package is node-doubling composite Gauss-Legendre on
+the package's own rules (:func:`_legendre_rule`, Newton's method on the
+Legendre recurrence, built with numpy alone and cached per call shape).
+Its callers integrate smooth pieces (endpoint singularities are removed by
+substitutions first), so it converges spectrally.  :class:`QuadratureConfig`
+carries the tolerances; its ``scheme`` field is a label, and every accepted
+name runs the same quadrature.
 
-The engine integrates one integrand per row, each over its own non-empty
-limits, such as the pieces of one interval, on a (rows x nodes) matrix of
-nodes; the integrand also sees the row indices as a column, so per-row
-parameters broadcast as ``params[rows]``.  Every row doubles its order on
-its own, from 64 nodes up to 8192, and leaves the active set once it passes
-the acceptance test.  The first comparison, 64 against 128 nodes, is one
-call on every row and the nodes of both rules; each later doubling is one
-call on the rows still active.  Each row reports the largest rule it
-summed, which sizes the rounding bound.  No integrand call sees more than
-``_NODE_BLOCK`` = 2^20 nodes (8 MB per array of doubles).  The rules are
-the package's own (:func:`_legendre_rule`, Newton's method on the Legendre
-recurrence), built with numpy alone and cached per call shape.
+There are two entry points, one loop each, on one schedule: every piece or
+row doubles its order on its own, from 64 nodes up to 8192, and leaves the
+active set once the difference of its last two sums passes the acceptance
+test, :func:`_within_tol`.  The first comparison, 64 against 128 nodes, is
+one integrand call on the nodes of both rules; each later doubling is one
+call on what is still active.  No integrand call sees more than
+``_NODE_BLOCK`` = 2^20 nodes (8 MB per array of doubles).
 
-:func:`integrate_interval` integrates one callable from a to b as its
-breakpoint pieces, the rows of one :func:`_gauss_legendre` call; its error
-carries the rounding of the rules, so callers add only their own terms.
-:func:`_certify` is the one tolerance check of every integral, variance and
-constant.  :func:`integrate_rows`, the public row interface, skips empty rows
-and hands the rest to :func:`_gauss_legendre`.
+- :func:`integrate_interval` integrates one callable from a to b as its
+  breakpoint pieces, keeping each piece's midpoint, half-width and last two
+  sums as Python floats; its integrand sees the 1-D nodes of every active
+  piece.  Its error carries the (2 N + 16) eps rounding of the rules, so
+  callers add only their own terms.  This is the path of every variance.
+- :func:`integrate_rows` integrates one integrand per row over per-row
+  limits, on a (rows x nodes) matrix of nodes, through the rows core
+  :func:`_gauss_legendre`; the integrand also sees the row indices as a
+  column, so per-row parameters broadcast as ``params[rows]``.  It skips
+  empty rows and reports each row's largest rule.
+
+Both sum a piece's or a row's terms pairwise over the contiguous slice of
+each rule, so a piece of an interval and the same row of
+:func:`integrate_rows` agree bit for bit.  :func:`_certify` is the one
+tolerance check of every integral, variance and constant.
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ import numpy as np
 
 from .exceptions import DomainError, QuadratureFailure
 
-# the accepted labels of QuadratureConfig.scheme; every one runs _gauss_legendre
+# the accepted labels of QuadratureConfig.scheme; every one runs the same quadrature
 SCHEMES = ("adaptive_gauss_kronrod", "gauss_legendre_fixed", "tanh_sinh")
 
-# most nodes one (rows x nodes) integrand call may see: 2^20 doubles, 8 MB per array
+# most nodes one integrand call may see: 2^20 doubles, 8 MB per array
 _NODE_BLOCK = 1 << 20
 # the Gauss-Legendre schedule: 64 and 128 nodes per piece in one integrand call,
 # then one call per doubling up to 64 * 2^7 = 8192 nodes
@@ -105,7 +110,7 @@ class QuadratureConfig:
     ``rel_tol``/``abs_tol`` combine in the usual way: an estimate is accepted
     once its error estimate drops below ``max(abs_tol, rel_tol * |value|)``.
     ``scheme`` is a label: it must be one of :data:`SCHEMES`, and every name
-    runs the one Gauss-Legendre engine.  The field goes once the benchmark
+    runs the same Gauss-Legendre quadrature.  The field goes once the benchmark
     harness stops setting it.  Instances are immutable and safe to share
     across threads; invalid fields raise :class:`DomainError`.
     """
@@ -146,7 +151,8 @@ def _certify(value, error, config: QuadratureConfig, where: str, *fields):
 
 
 def _row_blocks(count: int, nodes_per_row: int):
-    """Consecutive slices of ``count`` rows holding at most _NODE_BLOCK nodes each.
+    """Consecutive slices of ``count`` rows (or pieces) holding at most _NODE_BLOCK
+    nodes each.
 
     A single row is never split, so a row with more nodes than the block
     forms a slice of its own.
@@ -177,7 +183,8 @@ def _gauss_legendre_sums(f, rows, mid, half, sizes):
 
 
 def _gauss_legendre(f, a, b, abs_tol, rel_tol):
-    """Node-doubling Gauss-Legendre over the rows [a_k, b_k], none of them empty.
+    """Node-doubling Gauss-Legendre over the rows [a_k, b_k], none of them empty:
+    the rows core of :func:`integrate_rows`.
 
     ``f(x, rows)`` sees the nodes and the indices into ``a`` of their rows.
     Every row doubles its order on its own, from _GL_FIRST_NODES up to
@@ -233,37 +240,78 @@ def integrate_rows(f, a, b, config: QuadratureConfig):
     return value, err, converged, nodes
 
 
+def _piece_sums(f, pieces, sizes):
+    """Sums of the Gauss-Legendre rules of ``sizes`` nodes on each (mid, half) of ``pieces``.
+
+    One integrand call ``f(x)`` sees the 1-D nodes of every piece, piece after
+    piece, split into calls of at most _NODE_BLOCK nodes only when they hold
+    more.  Each piece's terms f * w are summed over the contiguous slice of
+    each rule, as a row of :func:`_gauss_legendre_sums` is, so the sums agree
+    bit for bit.  Returns one list of ``len(sizes)`` floats per piece.
+    """
+    x, w, rules = _leggauss(sizes)
+    if len(pieces) == 1:        # the common case: no concatenation, 3-4 us less per call
+        (mid, half), = pieces
+        terms = f(mid + half * x) * w
+        return [[half * float(np.add.reduce(terms[rule])) for rule in rules]]
+    if len(pieces) > max(1, _NODE_BLOCK // x.size):
+        return [sums for block in _row_blocks(len(pieces), x.size)
+                for sums in _piece_sums(f, pieces[block], sizes)]
+    nodes = np.concatenate([mid + half * x for mid, half in pieces])
+    terms = f(nodes).reshape(len(pieces), x.size) * w
+    return [[half * float(np.add.reduce(row[rule])) for rule in rules]
+            for (_, half), row in zip(pieces, terms)]
+
+
 def integrate_interval(f, a: float, b: float, config: QuadratureConfig,
                        breakpoints=()):
     """Integrate a vectorized callable from a to b under ``config``.
 
     ``breakpoints`` are interior points where the integrand is continuous
-    but not smooth; the interval is split there, and the pieces, in
-    increasing order, are the rows of one Gauss-Legendre doubling, so every
-    integrand call sees the nodes of all pieces still refining.  The value
-    is signed: b < a gives exactly minus the integral from b to a.  Taking
-    the pieces in increasing order, :func:`_certify` raises
-    :class:`QuadratureFailure` at the first prefix that has not converged
-    and whose summed error estimate is not within the tolerance of its
-    summed value (a nan estimate never is).  Returns ``(value, error)``:
-    the summed estimates plus the rounding bound (2 N + 16) eps |value|, N
-    the largest rule any piece summed, which the package's rules meet (Hale
-    & Townsend, SIAM J. Sci. Comput. 35 (2013)).
+    but not smooth; the interval is split there.  Each piece keeps its
+    midpoint, half-width and last two sums as Python floats and doubles on
+    its own, and each doubling level is one call ``f(x)`` on the 1-D nodes
+    of every piece still refining, piece after piece in increasing order
+    (:func:`_piece_sums`).  A piece's value, error and rule are those of the
+    same row of :func:`integrate_rows`, bit for bit.  The value is signed:
+    b < a gives exactly minus the integral from b to a.  Taking the pieces
+    in increasing order, :func:`_certify` raises :class:`QuadratureFailure`
+    at the first prefix that has not converged and whose summed error
+    estimate is not within the tolerance of its summed value (a nan estimate
+    never is).  Returns ``(value, error)``: the summed estimates plus the
+    rounding bound (2 N + 16) eps |value|, N the largest rule any piece
+    summed, which the package's rules meet (Hale & Townsend, SIAM J. Sci.
+    Comput. 35 (2013)).
     """
     if a == b:
         return 0.0, 0.0
     if b < a:
         value, err = integrate_interval(f, b, a, config, breakpoints)
         return -value, err
-    cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    values, errs, oks, nodes = _gauss_legendre(
-        lambda x, rows: f(x), np.array(cuts[:-1]), np.array(cuts[1:]),
-        config.abs_tol, config.rel_tol)
+    cuts = [a, *sorted({p for p in breakpoints if a < p < b}), b]
+    abs_tol, rel_tol = config.abs_tol, config.rel_tol
+    pieces = [(0.5 * (hi + lo), 0.5 * (hi - lo)) for lo, hi in zip(cuts, cuts[1:])]
+    results = [None] * len(pieces)      # (value, error, converged) per piece
+    n = 2 * _GL_FIRST_NODES
+    active, sums = range(len(pieces)), _piece_sums(f, pieces, (_GL_FIRST_NODES, n))
+    while True:
+        refine = []
+        for k, (prev, cur) in zip(active, sums):
+            step_err = abs(cur - prev)
+            ok = _within_tol(step_err, cur, abs_tol, rel_tol)
+            results[k] = cur, step_err, ok
+            if not ok:
+                refine.append(k)
+        if not refine or 2 * n > _GL_MAX_NODES:
+            break
+        n *= 2
+        sums = _piece_sums(f, [pieces[k] for k in refine], (n,))
+        active, sums = refine, [(results[k][0], cur) for k, (cur,) in zip(refine, sums)]
     total, err, converged = 0.0, 0.0, True
-    for v, e, ok in zip(values.tolist(), errs.tolist(), oks.tolist()):
+    for v, e, ok in results:
         total += v
         err += e
         converged = converged and ok
         if not converged:
             _certify(total, err, config, "on [{}, {}]", a, b)
-    return total, err + _EPS * (2.0 * max(nodes.tolist()) + 16.0) * abs(total)
+    return total, err + _EPS * (2.0 * n + 16.0) * abs(total)

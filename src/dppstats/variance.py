@@ -8,9 +8,11 @@ Shirai's angular factor) and the rest past rho = 2r is a Gauss-Laguerre sum;
 on the disc the area is the Gauss-Bonnet closed form and the rest a
 Gauss-Jacobi sum.  Both exact sums take their rules from one builder,
 :func:`_gauss_rule` (eigenvalue nodes, Christoffel weights, from the Jacobi
-matrix of the weight); the radial integrals use the Gauss-Legendre rules of
-:mod:`dppstats.quadrature`, whose errors carry those rules' rounding, and one
-check, :func:`dppstats.quadrature._certify`, holds every variance and C to the
+matrix of the weight); each radial integral is one call of
+:func:`dppstats.quadrature.integrate_interval`, Gauss-Legendre on its
+breakpoint pieces kept as Python floats (not the rows core of
+``integrate_rows``), whose error carries its rules' rounding, and one check,
+:func:`dppstats.quadrature._certify`, holds every variance and C to the
 tolerance.  :data:`ROUTES` lists each geometry's route names: the first labels
 its one computation, the second is an alias that returns the same numbers under
 its own label, so the two names check nothing against each other.  Also here:
@@ -87,6 +89,11 @@ _LOG_HUGE = 700.0
 # of L_n (t <~ 4n + 2) and stop before e^{-c/2} leaves the normal doubles
 _MAX_CUT = 1400.0
 
+# from n = 195 on, the last weight of the (n + 1)-point Gauss-Laguerre rule underflows to 0
+_MAX_PLANAR_N = 194
+# the largest disc level m whose (m + 1)-point Gauss-Jacobi rules are built, as dense matrices
+_MAX_DISC_M = 4096
+
 # multiplies the (p_k, p_k') rows of _gauss_rule into p_k^2 and (p_k^2)' = 2 p_k p_k'
 _SUM_AND_SLOPE = np.array([[1.0], [2.0]])
 
@@ -140,12 +147,13 @@ def _laguerre_rule(n: int):
     :func:`_gauss_rule` of e^{-t} (diagonal 2k + 1, subdiagonal k) and must keep its
     orthonormality sum w L_n(s)^2 = 1, the tail at c = 0; then |L_n| < 1e271 wherever
     used.  From n = 195 on the last weight underflows to 0, and the rule is refused
-    before L_n is formed: its product at the last node would overflow by n = 400."""
+    from n alone, before its matrix is built or L_n formed (its product at the last
+    node would overflow by n = 400)."""
+    if n > _MAX_PLANAR_N:
+        raise TruncationFailure(f"the last weight of the {n + 1}-point Gauss-Laguerre rule "
+                                f"underflows to 0 from n = {_MAX_PLANAR_N + 1} on")
     k = np.arange(n + 1.0)
     nodes, weights = _gauss_rule(2.0 * k + 1.0, k[1:])
-    if not weights[-1]:
-        raise TruncationFailure(f"the last weight of the {n + 1}-point Gauss-Laguerre rule "
-                                f"underflows to 0")
     rule = nodes, np.sqrt(weights)
     norm = _laguerre_tail(n, rule, 0.0)
     if not abs(norm - 1.0) <= 1e-12:
@@ -201,6 +209,14 @@ def variance_euclidean_geometric(level: EuclideanLevel, r: float,
     """:func:`variance_euclidean_shirai`'s result under the route name geometric."""
     res = variance_euclidean_shirai(level, r, quad)
     return VarianceResult(res.value, res.error_estimate, "geometric")
+
+
+def _check_degree(level: HyperbolicLevel) -> None:
+    """:class:`TruncationFailure` if m exceeds _MAX_DISC_M, from m alone, before the
+    (m + 1)-point Gauss-Jacobi rule's dense (m + 1)^2 matrix is asked for."""
+    if level.m > _MAX_DISC_M:
+        raise TruncationFailure(f"the level m={level.m} exceeds {_MAX_DISC_M}, the largest "
+                                f"whose Gauss-Jacobi rule is built")
 
 
 def _check_weight_envelope(level: HyperbolicLevel) -> None:
@@ -297,9 +313,12 @@ def variance_hyperbolic(level: HyperbolicLevel, r: float,
     to 4 (m + 1)^2 eps relative (the rounded arguments of P_m meet its slope,
     up to m^2 times its size; the rule's weights lose a few (m + 1) eps).
     :func:`dppstats.quadrature._certify` checks the sum against the tolerance.
+    m > 4096 raises :class:`TruncationFailure` before any rule or integrand is
+    evaluated.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r}")
+    _check_degree(level)
     _check_weight_envelope(level)
     beta, R = level.beta, 2.0 * math.atanh(r)
     # past u = 8 sqrt((m + 1)/beta) the weight has fallen by e^{-64}; a range much longer
@@ -356,8 +375,10 @@ def asymptotic_constant(level: HyperbolicLevel,
     beta = 100 and Stirling's series past it, within 5 eps of 40-digit values.
     :class:`QuadratureFailure` if the rounding misses ``quad.tolerance(C)``
     (:func:`dppstats.quadrature._certify`), C is not finite and positive or C
-    exceeds beta by more than its rounding.
+    exceeds beta by more than its rounding; :class:`TruncationFailure`, before
+    any rule is built, if m > 4096.
     """
+    _check_degree(level)
     beta, m = level.beta, level.m
     z, v = _tail_rule(m, beta + 0.5, -0.5)
     z = z / (beta + 0.5)

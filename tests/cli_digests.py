@@ -18,7 +18,8 @@ moves the CLI's bytes on purpose rewrites the file with
 
 so that the moved digests show in its diff.  The package is imported from
 the ``src`` directory next to this file, so nothing needs installing.
-pytest does not collect this file.
+pytest does not collect this file; ``tests/test_cli.py`` runs the same
+comparison in process.
 """
 
 import hashlib
@@ -53,18 +54,28 @@ COMMANDS = (
 )
 
 
-def main() -> int:
+def expected_lines() -> dict[str, str]:
+    """The checked-in line of each command, keyed by the command."""
     # a line is "digest  exit N  command"
-    expected = {line.split("  ", 2)[2]: line for line in EXPECTED.read_text().splitlines()}
+    return {line.split("  ", 2)[2]: line for line in EXPECTED.read_text().splitlines()}
+
+
+def digest_line(runner: CliRunner, command: str) -> tuple[str, int]:
+    """The line of ``command`` in the format of ``cli_digests.txt``, and its exit code."""
+    result = runner.invoke(cli, shlex.split(command))
+    digest = hashlib.md5(result.stdout_bytes).hexdigest()
+    return f"{digest[:12]}  exit {result.exit_code}  {command}", result.exit_code
+
+
+def main() -> int:
+    expected = expected_lines()
     runner = CliRunner()
     failed = 0
     for command in COMMANDS:
-        result = runner.invoke(cli, shlex.split(command))
-        digest = hashlib.md5(result.stdout_bytes).hexdigest()
-        line = f"{digest[:12]}  exit {result.exit_code}  {command}"
+        line, code = digest_line(runner, command)
         print(line, flush=True)
         old = expected.pop(command, "(no line)")
-        if line != old or result.exit_code != 0:
+        if line != old or code != 0:
             failed += 1
             print(f"^ changed; {EXPECTED.name} has: {old}", file=sys.stderr, flush=True)
     for old in expected.values():

@@ -1,5 +1,9 @@
 import json
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from click.testing import CliRunner
 from dppstats import HyperbolicLevel, QuadratureConfig, variance
 from dppstats.cli import cli
 from oracles import asymptotic_constant_cutoff, disc_variance_quadrature_lens, weight_tail_direct
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -344,6 +350,32 @@ class TestOutputFiles:
         assert os.listdir(tmp_path / "taken") == []
 
 
+# 1.5 GB of address space: an attempt at a dense matrix of a huge level fails in
+# the child, not on the machine
+_ADDRESS_LIMIT = 1536 << 20
+
+
+def _limited_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_LIMIT, _ADDRESS_LIMIT))
+
+
+@pytest.mark.parametrize("args", [
+    ["variance", "--euclidean", "--n", "10000", "--r", "1"],
+    ["asymptotics", "--nu", "100001", "--m", "100000"],
+    ["variance", "--nu", "100001", "--m", "100000", "--r", "0.3"],
+])
+def test_huge_level_exits_3_within_limited_memory(args):
+    # the first two ended in a MemoryError traceback (exit 1) while asking for a
+    # 763 MiB and a 74.5 GiB matrix; a large level is refused from its size alone
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run([sys.executable, "-m", "dppstats.cli", *args], env=env,
+                            capture_output=True, text=True, timeout=120,
+                            preexec_fn=_limited_address_space)
+    assert result.returncode == 3
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 class TestOutOfDomainArguments:
     """Regression tests: each of these used to exit 0, or exit 1 with a traceback."""
 
@@ -437,3 +469,17 @@ def test_cli_fuzz_grid_exits_cleanly(runner):
         if result.exit_code == 0:
             assert "nan" not in result.output.lower(), where
         assert "Traceback" not in result.output, where
+
+
+def test_cli_digests_unchanged():
+    # the comparison of tests/cli_digests.py, in process: every command's output
+    # bytes and exit code against its checked-in line, and no line left unrun
+    import cli_digests
+
+    expected, runner = cli_digests.expected_lines(), CliRunner()
+    changed = []
+    for command in cli_digests.COMMANDS:
+        line, code = cli_digests.digest_line(runner, command)
+        if line != expected.pop(command, None) or code != 0:
+            changed.append(line)
+    assert changed == [] and list(expected) == []

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dppstats import HyperbolicLevel, QuadratureConfig, QuadratureFailure, variance_hyperbolic
 from dppstats import quadrature
@@ -177,49 +179,63 @@ class TestIntegrateInterval:
     def test_pieces_share_one_call_per_doubling_level(self):
         # three pieces of sqrt(x + a) + sqrt(3 + b - x): the end pieces, near the
         # branch points, refine past the first pair of rules (64 and 128 nodes,
-        # one call), the first longest; each level is one call holding every
-        # active piece
+        # one call), the first longest; each level is one call on the 1-D nodes
+        # of every active piece, piece after piece
         calls = []
         a, b = 3e-4, 3e-3
 
         def f(x):
-            calls.append(np.shape(x))
+            calls.append((np.shape(x), np.floor(x[::64]).astype(int).tolist()))
             return np.sqrt(x + a) + np.sqrt(3.0 + b - x)
 
         cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
         val, err = integrate_interval(f, 0.0, 3.0, cfg, breakpoints=(2.0, 1.0, 5.0))
         exact = 2.0 / 3.0 * ((3.0 + a) ** 1.5 - a ** 1.5 + (3.0 + b) ** 1.5 - b ** 1.5)
         assert val == pytest.approx(exact, rel=1e-12)
-        assert calls == [(3, 192), (2, 256), (1, 512)]
+        assert [shape for shape, _ in calls] == [(576,), (512,), (512,)]
+        # the piece of every 64th node: all three, then the end pieces, then the first
+        assert [sorted(set(pieces)) for _, pieces in calls] == [[0, 1, 2], [0, 2], [0]]
         assert err >= (2 * 512 + 16) * EPS * val      # the rounding of the 512-node rule
 
     def test_pieces_sum_as_rows_of_integrate_rows(self):
-        # one engine: each piece's value, error and rule through integrate_rows,
-        # bit for bit, and their prefix sums make the interval's result
+        # the pieces' values and errors are the rows of integrate_rows, bit for
+        # bit: their prefix sums, in increasing order, make the interval's result
         def f(x):
             return np.sqrt(x + 3e-4) + np.cos(3.0 * x)
 
-        seen = []
-        real = quadrature._gauss_legendre
-
-        def spy(*args):
-            seen.append(real(*args))
-            return seen[-1]
-
         cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
         cuts = np.array([0.0, 1.0, 2.0, 3.0])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(quadrature, "_gauss_legendre", spy)
-            val, err = integrate_interval(f, 0.0, 3.0, cfg, breakpoints=(2.0, 1.0))
-        (pieces, piece_errs, _, piece_nodes), = seen
-        rows = integrate_rows(lambda x, k: f(x), cuts[:-1], cuts[1:], cfg)
-        for got, want in zip(rows, seen[0]):
-            np.testing.assert_array_equal(got, want)
+        val, err = integrate_interval(f, 0.0, 3.0, cfg, breakpoints=(2.0, 1.0))
+        pieces, piece_errs, ok, nodes = integrate_rows(lambda x, k: f(x), cuts[:-1], cuts[1:],
+                                                       cfg)
         total = pieces[0] + pieces[1] + pieces[2]
         # the rounding bound of the largest rule integrate_rows reports
-        rounding = EPS * (2.0 * rows[3].max() + 16.0) * abs(total)
+        rounding = EPS * (2.0 * nodes.max() + 16.0) * abs(total)
         assert (val, err) == (total, piece_errs[0] + piece_errs[1] + piece_errs[2] + rounding)
-        assert rows[3].max() > 2 * quadrature._GL_FIRST_NODES and rows[2].all()
+        assert nodes.max() > 2 * quadrature._GL_FIRST_NODES and ok.all()
+
+    def test_node_block_caps_every_call(self, monkeypatch):
+        # with a block smaller than the pieces' nodes, a level takes one call per
+        # block of whole pieces, and the result does not move
+        def run():
+            sizes = []
+
+            def f(x):
+                sizes.append(x.size)
+                return np.sqrt(x + 3e-4) + np.sqrt(3.003 - x)
+
+            cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
+            return integrate_interval(f, 0.0, 3.0, cfg, breakpoints=(1.0, 2.0)), sizes
+
+        whole, sizes = run()
+        assert sizes[0] == 3 * 192
+        monkeypatch.setattr(quadrature, "_NODE_BLOCK", 400)
+        split, sizes_c = run()
+        assert split == whole
+        # the first level's three pieces of 192 nodes take two calls; a piece
+        # wider than the block (512 nodes and up) is called alone, never split
+        assert sizes_c[:2] == [384, 192] and len(sizes_c) > len(sizes)
+        assert all(size <= 400 or size in (512, 1024, 2048, 4096, 8192) for size in sizes_c)
 
     def test_error_carries_the_rounding_of_the_largest_rule(self):
         # x^2 on [0, 1] converges at the 128-node rule: the error is the difference
@@ -234,6 +250,55 @@ class TestIntegrateInterval:
         # the weights of every rule sum to exactly 2, so for a constant the two
         # sums agree and the error is the rounding bound alone
         assert integrate_interval(np.ones_like, 0.0, 1.0, cfg) == (1.0, (2 * 128 + 16) * EPS)
+
+
+def _smooth(c):
+    """c0 exp(c1 x) + sin(c2 x + c3) / (1 + c4^2 x^2): entire but for the poles at +-i/c4."""
+    def f(x):
+        return c[0] * np.exp(c[1] * x) + np.sin(c[2] * x + c[3]) / (1.0 + c[4] ** 2 * x * x)
+    return f
+
+
+PIECES = dict(coef=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
+              a=st.floats(-2.0, 2.0), width=st.floats(1e-3, 4.0),
+              fractions=st.lists(st.floats(0.0, 1.0), max_size=3))
+
+
+class TestIntegrateIntervalProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(**PIECES, log_rel_tol=st.floats(-13.0, -6.0))
+    def test_pieces_are_ordered_prefix_sums_of_integrate_rows(self, coef, a, width, fractions,
+                                                              log_rel_tol):
+        # 1-4 pieces: the value is the rows' values summed in increasing order and
+        # the error their errors plus the rounding of the largest rule, bit for bit;
+        # from b to a both are (-value, error)
+        f, b = _smooth(coef), a + width
+        breakpoints = [a + t * width for t in fractions]
+        cfg = QuadratureConfig(rel_tol=10.0 ** log_rel_tol, abs_tol=1e-12)
+        cuts = np.array([a, *sorted({p for p in breakpoints if a < p < b}), b])
+        rows, row_errs, ok, nodes = integrate_rows(lambda x, k: f(x), cuts[:-1], cuts[1:], cfg)
+        assume(ok.all())
+        total = err = 0.0
+        for v, e in zip(rows.tolist(), row_errs.tolist()):
+            total += v
+            err += e
+        want = (total, err + EPS * (2.0 * nodes.max() + 16.0) * abs(total))
+        assert integrate_interval(f, a, b, cfg, breakpoints) == want
+        assert integrate_interval(f, b, a, cfg, breakpoints) == (-want[0], want[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(**PIECES, where=st.floats(0.05, 0.95))
+    def test_nan_integrand_raises(self, coef, a, width, fractions, where):
+        # nan past a point inside the interval reaches some piece's sums
+        smooth, b = _smooth(coef), a + width
+        breakpoints = [a + t * width for t in fractions]
+
+        def f(x):
+            return np.where(x > a + where * width, np.nan, smooth(x))
+
+        for lo, hi in ((a, b), (b, a)):
+            with pytest.raises(QuadratureFailure, match="nan exceeds"):
+                integrate_interval(f, lo, hi, QuadratureConfig(), breakpoints)
 
 
 class TestCertify:

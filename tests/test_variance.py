@@ -118,6 +118,18 @@ class TestEuclideanRoutes:
             with pytest.raises(TruncationFailure, match="Gauss-Laguerre rule"):
                 route(EuclideanLevel(n), 1.0)
 
+    @pytest.mark.parametrize("n", [195, 10_000])
+    def test_large_level_refused_before_any_matrix(self, monkeypatch, n):
+        # the refusal comes from n alone: a 10 001-point rule once asked for three
+        # dense 10 001^2 matrices (763 MiB each) before its last weight was seen
+        def forbidden(*args):
+            raise AssertionError("a Gauss rule was built")
+
+        monkeypatch.setattr(variance, "_gauss_rule", forbidden)
+        monkeypatch.setattr(specfun, "_laguerre_zeros", forbidden)
+        with pytest.raises(TruncationFailure, match="Gauss-Laguerre rule"):
+            variance_euclidean_shirai(EuclideanLevel(n), 1.0)
+
     def test_ginibre_closed_form_to_rounding(self):
         # the value, not only its error bar: with scipy's Gauss-Legendre nodes the
         # median error was 2.2e-14, about n eps for the 128-node rule
@@ -299,6 +311,7 @@ class TestAsymptoticConstant:
 
         monkeypatch.setattr(quadrature, "_gauss_legendre", forbidden)
         monkeypatch.setattr(quadrature, "integrate_rows", forbidden)
+        monkeypatch.setattr(variance, "integrate_interval", forbidden)
         assert asymptotic_constant(HyperbolicLevel(3.5, 2)) == pytest.approx(669 / 512)
 
     def test_unreachable_tolerance_raises(self):
@@ -488,23 +501,23 @@ class TestDiscOracles:
     """The one disc computation against the series and the quadrature-lens oracle."""
 
     def test_one_quadrature_and_no_lens_quadrature(self, monkeypatch):
-        # the lens is a closed form: a disc variance makes one Gauss-Legendre
-        # call, and its integrand sees every piece's nodes at once
+        # the lens is a closed form: a disc variance makes one interval
+        # quadrature, and its integrand sees every piece's nodes at once
         calls, shapes = [], []
-        real = quadrature._gauss_legendre
+        real = variance.integrate_interval
 
-        def counted(f, a, b, abs_tol, rel_tol):
-            calls.append(np.size(a))
+        def counted(f, *args):
+            calls.append(args)
 
-            def g(x, rows):
+            def g(x):
                 shapes.append(np.shape(x))
-                return f(x, rows)
-            return real(g, a, b, abs_tol, rel_tol)
+                return f(x)
+            return real(g, *args)
 
-        monkeypatch.setattr(quadrature, "_gauss_legendre", counted)
+        monkeypatch.setattr(variance, "integrate_interval", counted)
         res = variance_hyperbolic(HyperbolicLevel(1.0, 0), 0.9)
         assert res.value == pytest.approx(peres_virag(0.9), rel=1e-12)
-        assert calls == [1] and 0 < len(shapes) <= 9
+        assert len(calls) == 1 and 0 < len(shapes) <= 9
 
     @settings(max_examples=40, deadline=None)
     @given(nu=st.floats(0.5, 8.0, exclude_min=True), m=st.integers(0, 2),
@@ -648,6 +661,24 @@ class TestLargeDegree:
         res = variance_hyperbolic(level, r)
         ref, ref_err = disc_variance_quadrature_lens(level, r, tail=weight_tail_direct)
         assert abs(res.value - ref) <= res.error_estimate + ref_err
+
+    @pytest.mark.parametrize("nu, m", [(4097.6, 4097), (100001.0, 100000)])
+    def test_degree_past_the_cap_refused_before_any_rule(self, monkeypatch, nu, m):
+        # m = 100000 once asked for a dense 100 001^2 matrix (74.5 GiB) for C, and
+        # the disc variance spent seconds on its integrand before refusing
+        def forbidden(*args):
+            raise AssertionError("a rule or the integrand was evaluated")
+
+        for name in ("_gauss_rule", "_tail_rule", "_radial_weight", "integrate_interval"):
+            monkeypatch.setattr(variance, name, forbidden)
+        level = HyperbolicLevel(nu, m)
+        with pytest.raises(TruncationFailure, match=f"m={m} exceeds 4096"):
+            variance_hyperbolic(level, 0.3)
+        with pytest.raises(TruncationFailure, match=f"m={m} exceeds 4096"):
+            asymptotic_constant(level)
+
+    def test_degree_at_the_cap_is_not_refused(self):
+        variance._check_degree(HyperbolicLevel(4097.0, 4096))
 
     def test_constant_past_its_bound_raises(self, monkeypatch):
         # C <= beta is proven, so a sum past it is a failed rule, not a value
