@@ -81,7 +81,7 @@ _OMITTED_SHARE = 2.0 ** -56
 _TINY = np.finfo(float).tiny
 # the least number of Bernoulli factors in one block of distribution()
 _PMF_BLOCK = 32
-# sample_counts draws at most this many raw words (8 bytes each) per block
+# sample_distribution draws at most this many raw words (8 bytes each) per block
 _SAMPLE_BLOCK_WORDS = 2 ** 18
 
 

@@ -24,13 +24,14 @@ __all__ = ["EuclideanLevel", "HyperbolicLevel", "fock_kernel_sq_weighted", "hype
 
 @dataclass(frozen=True)
 class EuclideanLevel:
-    """Index of a planar level: a non-negative integer n."""
+    """Index of a planar level: a non-negative integer n, stored as an int."""
 
     n: int
 
     def __post_init__(self):
         if self.n < 0 or self.n != int(self.n):
             raise DomainError(f"level index must be a non-negative integer, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class HyperbolicLevel:
 
     Requires nu > 1/2, integer 0 <= m <= floor(nu - 1/2) and
     2 (nu - m) - 1 > 0; the last condition is what makes the radial weight
-    profile integrable on the disc.
+    profile integrable on the disc.  An integral float m is stored as an int.
     """
 
     nu: float
@@ -50,6 +51,7 @@ class HyperbolicLevel:
             raise DomainError(f"nu must be finite and exceed 1/2, got {self.nu}")
         if self.m < 0 or self.m != int(self.m):
             raise DomainError(f"m must be a non-negative integer, got {self.m}")
+        object.__setattr__(self, "m", int(self.m))
         if self.m > math.floor(self.nu - 0.5):
             raise DomainError(
                 f"m must not exceed floor(nu - 1/2) = {math.floor(self.nu - 0.5)}, got {self.m}")

@@ -8,29 +8,31 @@ substitutions first), so it converges spectrally.  :class:`QuadratureConfig`
 carries the tolerances; its ``scheme`` field is a label, and every accepted
 name runs the same quadrature.
 
-There are two entry points, one loop each, on one schedule: every piece or
-row doubles its order on its own, from 64 nodes up to 8192, and leaves the
-active set once the difference of its last two sums passes the acceptance
-test, :func:`_within_tol`.  The first comparison, 64 against 128 nodes, is
-one integrand call on the nodes of both rules; each later doubling is one
-call on what is still active.  No integrand call sees more than
-``_NODE_BLOCK`` = 2^20 nodes (8 MB per array of doubles).
+There is one loop, :func:`_node_doubling`, on (midpoint, half-width)
+pieces kept as Python floats: every piece doubles its order on its own,
+from 64 nodes up to 8192, and leaves the active set once the difference of
+its last two sums is within ``config.tolerance`` of the last.  The first
+comparison, 64 against 128 nodes, is one integrand call on the nodes of
+both rules; each later doubling is one call on what is still active.  A
+call sees the 1-D nodes of its pieces, piece after piece, and no call sees
+more than ``_NODE_BLOCK`` = 2^20 nodes (8 MB per array of doubles).  Each
+piece's terms are summed pairwise over the contiguous slice of each rule,
+so a piece's sums do not depend on what else shares its call.  Two entry
+points run on it:
 
 - :func:`integrate_interval` integrates one callable from a to b as its
-  breakpoint pieces, keeping each piece's midpoint, half-width and last two
-  sums as Python floats; its integrand sees the 1-D nodes of every active
-  piece.  Its error carries the (2 N + 16) eps rounding of the rules, so
-  callers add only their own terms.  This is the path of every variance.
+  breakpoint pieces and sums them in increasing order.  Its error carries
+  the (2 N + 16) eps rounding of the rules, so callers add only their own
+  terms.  This is the path of every variance.
 - :func:`integrate_rows` integrates one integrand per row over per-row
-  limits, on a (rows x nodes) matrix of nodes, through the rows core
-  :func:`_gauss_legendre`; the integrand also sees the row indices as a
-  column, so per-row parameters broadcast as ``params[rows]``.  It skips
-  empty rows and reports each row's largest rule.
+  limits, one piece per row.  Its integrand sees the nodes reshaped to a
+  (rows x nodes) matrix and the row indices as a column, so per-row
+  parameters broadcast as ``params[rows]``.  It skips empty rows and
+  reports each row's largest rule; a row and the interval of its integrand
+  alone agree bit for bit.
 
-Both sum a piece's or a row's terms pairwise over the contiguous slice of
-each rule, so a piece of an interval and the same row of
-:func:`integrate_rows` agree bit for bit.  :func:`_certify` is the one
-tolerance check of every integral, variance and constant.
+:func:`_certify` is the one tolerance check of every integral, variance and
+constant.
 """
 
 from __future__ import annotations
@@ -126,18 +128,12 @@ class QuadratureConfig:
             raise DomainError("tolerances must be finite and positive")
 
     def tolerance(self, scale: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(scale))
+        """max(abs_tol, rel_tol |scale|); abs_tol for a nan scale."""
+        rel = self.rel_tol * abs(scale)
+        return rel if rel > self.abs_tol else self.abs_tol
 
 
 DEFAULT_QUAD = QuadratureConfig()
-
-
-def _within_tol(err, value, abs_tol, rel_tol):
-    """Acceptance test of every doubling step: err <= max(abs_tol, rel_tol |value|).
-
-    Written with ``|`` so that it serves scalars and arrays alike.
-    """
-    return (err <= abs_tol) | (err <= rel_tol * abs(value))
 
 
 def _certify(value, error, config: QuadratureConfig, where: str, *fields):
@@ -150,117 +146,62 @@ def _certify(value, error, config: QuadratureConfig, where: str, *fields):
                             f"{config.tolerance(value):.3e} " + where.format(*fields))
 
 
-def _row_blocks(count: int, nodes_per_row: int):
-    """Consecutive slices of ``count`` rows (or pieces) holding at most _NODE_BLOCK
-    nodes each.
+def _piece_sums(f, pieces, keys, sizes):
+    """Sums of the Gauss-Legendre rules of ``sizes`` nodes on ``pieces[k]``, k in ``keys``.
 
-    A single row is never split, so a row with more nodes than the block
-    forms a slice of its own.
-    """
-    step = max(1, _NODE_BLOCK // nodes_per_row)
-    for start in range(0, count, step):
-        yield slice(start, start + step)
-
-
-def _gauss_legendre_sums(f, rows, mid, half, sizes):
-    """Sums of the Gauss-Legendre rules of ``sizes`` nodes, one row of ``mid``, ``half`` each.
-
-    The rules share one integrand call ``f(x, rows[:, None])`` on their
-    concatenated nodes, split into the blocks of :func:`_row_blocks` only
-    when the rows hold more than _NODE_BLOCK nodes.  Each row is summed on
-    its own, pairwise, so a row's sum does not depend on how many rows its
-    block holds (a matrix-vector product rounds a row differently when the
-    block is small).  Returns ``len(sizes)`` arrays over the rows.
+    A piece is a (midpoint, half-width) pair.  One integrand call
+    ``f(x, keys)`` sees the 1-D nodes of those pieces, piece after piece,
+    split by whole pieces into calls of at most _NODE_BLOCK nodes only when
+    they hold more (a piece wider than the block is called alone).  Each
+    piece's terms f * w are summed pairwise over the contiguous slice of each
+    rule, so a piece's sums do not depend on what else shares its call.
+    Returns one list of ``len(sizes)`` floats per key.
     """
     x, w, rules = _leggauss(sizes)
-    if rows.size > max(1, _NODE_BLOCK // x.size):
-        out = np.empty((len(sizes), rows.size))
-        for block in _row_blocks(rows.size, x.size):
-            out[:, block] = _gauss_legendre_sums(f, rows[block], mid[block], half[block], sizes)
-        return out
-    terms = f(mid[:, None] + half[:, None] * x, rows[:, None]) * w
-    return [half * terms[:, rule].sum(axis=-1) for rule in rules]
-
-
-def _gauss_legendre(f, a, b, abs_tol, rel_tol):
-    """Node-doubling Gauss-Legendre over the rows [a_k, b_k], none of them empty:
-    the rows core of :func:`integrate_rows`.
-
-    ``f(x, rows)`` sees the nodes and the indices into ``a`` of their rows.
-    Every row doubles its order on its own, from _GL_FIRST_NODES up to
-    _GL_MAX_NODES, and leaves the active set once the difference between its
-    last two refinements passes :func:`_within_tol`.  That difference is the
-    row's error estimate, conservative for smooth integrands; a row that
-    runs out of nodes keeps its last refinement, unconverged.  The first
-    comparison takes one integrand call on every row; every later doubling
-    takes one more on the rows still active.  Returns ``(value, error,
-    converged, nodes)``, ``nodes`` the largest rule each row summed.
-    """
-    n = 2 * _GL_FIRST_NODES
-    half, mid = 0.5 * (b - a), 0.5 * (b + a)
-    value, err, nodes = np.empty(a.size), np.empty(a.size), np.empty(a.size, dtype=int)
-    converged = np.empty(a.size, dtype=bool)
-    rows = np.arange(a.size)
-    prev, cur = _gauss_legendre_sums(f, rows, mid, half, (_GL_FIRST_NODES, n))
-    while True:
-        step_err = np.abs(cur - prev)
-        ok = _within_tol(step_err, cur, abs_tol, rel_tol)
-        value[rows], err[rows], converged[rows], nodes[rows] = cur, step_err, ok, n
-        n *= 2
-        if ok.all() or n > _GL_MAX_NODES:
-            return value, err, converged, nodes
-        rows, prev = rows[~ok], cur[~ok]
-        cur, = _gauss_legendre_sums(f, rows, mid[rows], half[rows], (n,))
-
-
-def integrate_rows(f, a, b, config: QuadratureConfig):
-    """Integrate one integrand per row over per-row limits [a_k, b_k].
-
-    ``f(x, rows)`` receives a (rows x nodes) node matrix ``x`` and a
-    (rows x 1) column of integer row indices, and returns the integrand
-    values at ``x``, row k using the parameters of row k.  The rows are
-    independent, batched as described in the module docstring.
-
-    Returns ``(value, error_estimate, converged, nodes)`` arrays, ``nodes``
-    the largest rule row k summed.  Nothing is raised on non-convergence;
-    the caller decides what a failed row means.  Rows with a_k == b_k give
-    (0, 0, True, 0) and are never evaluated.
-    """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    a, b = a.ravel(), b.ravel()
-    active = np.flatnonzero(a != b)
-    value = np.zeros(a.size)
-    err = np.zeros(a.size)
-    converged = np.ones(a.size, dtype=bool)
-    nodes = np.zeros(a.size, dtype=int)
-    if active.size:
-        value[active], err[active], converged[active], nodes[active] = _gauss_legendre(
-            lambda x, rows: f(x, active[rows]), a[active], b[active],
-            config.abs_tol, config.rel_tol)
-    return value, err, converged, nodes
-
-
-def _piece_sums(f, pieces, sizes):
-    """Sums of the Gauss-Legendre rules of ``sizes`` nodes on each (mid, half) of ``pieces``.
-
-    One integrand call ``f(x)`` sees the 1-D nodes of every piece, piece after
-    piece, split into calls of at most _NODE_BLOCK nodes only when they hold
-    more.  Each piece's terms f * w are summed over the contiguous slice of
-    each rule, as a row of :func:`_gauss_legendre_sums` is, so the sums agree
-    bit for bit.  Returns one list of ``len(sizes)`` floats per piece.
-    """
-    x, w, rules = _leggauss(sizes)
-    if len(pieces) == 1:        # the common case: no concatenation, 3-4 us less per call
-        (mid, half), = pieces
-        terms = f(mid + half * x) * w
+    if len(keys) == 1:          # the common case: floats only, 3-4 us less per call
+        mid, half = pieces[keys[0]]
+        terms = f(mid + half * x, keys) * w
         return [[half * float(np.add.reduce(terms[rule])) for rule in rules]]
-    if len(pieces) > max(1, _NODE_BLOCK // x.size):
-        return [sums for block in _row_blocks(len(pieces), x.size)
-                for sums in _piece_sums(f, pieces[block], sizes)]
-    nodes = np.concatenate([mid + half * x for mid, half in pieces])
-    terms = f(nodes).reshape(len(pieces), x.size) * w
-    return [[half * float(np.add.reduce(row[rule])) for rule in rules]
-            for (_, half), row in zip(pieces, terms)]
+    step = max(1, _NODE_BLOCK // x.size)
+    if len(keys) > step:
+        return [sums for start in range(0, len(keys), step)
+                for sums in _piece_sums(f, pieces, keys[start:start + step], sizes)]
+    mid, half = np.array([pieces[k] for k in keys]).T
+    terms = f((mid[:, None] + half[:, None] * x).ravel(), keys).reshape(mid.size, x.size) * w
+    return np.stack([half * terms[:, rule].sum(axis=-1) for rule in rules], axis=-1).tolist()
+
+
+def _node_doubling(f, pieces, config: QuadratureConfig):
+    """Node-doubling Gauss-Legendre on each (midpoint, half-width) of ``pieces``:
+    the one loop of both entry points.
+
+    Every piece doubles its order on its own, from _GL_FIRST_NODES up to
+    _GL_MAX_NODES, and leaves the active set once the difference of its last
+    two sums is within ``config.tolerance`` of the last one (a nan difference
+    never is).  That difference is the piece's error estimate, conservative
+    for smooth integrands; a piece that runs out of nodes keeps its last sum,
+    unconverged.  Each doubling level is one :func:`_piece_sums` call on the
+    pieces still active, the first on every piece with both of the first two
+    rules.  Returns a list of ``(value, error, converged, nodes)`` per piece,
+    ``nodes`` the largest rule it summed, and the largest rule of all.
+    """
+    results = [None] * len(pieces)
+    n = 2 * _GL_FIRST_NODES
+    active = range(len(pieces))
+    sums = _piece_sums(f, pieces, active, (_GL_FIRST_NODES, n))
+    while True:
+        refine = []
+        for k, (prev, cur) in zip(active, sums):
+            step_err = abs(cur - prev)
+            ok = step_err <= config.tolerance(cur)
+            results[k] = cur, step_err, ok, n
+            if not ok:
+                refine.append(k)
+        if not refine or 2 * n > _GL_MAX_NODES:
+            return results, n
+        n *= 2
+        sums = _piece_sums(f, pieces, refine, (n,))
+        active, sums = refine, [(results[k][0], cur) for k, (cur,) in zip(refine, sums)]
 
 
 def integrate_interval(f, a: float, b: float, config: QuadratureConfig,
@@ -268,20 +209,18 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig,
     """Integrate a vectorized callable from a to b under ``config``.
 
     ``breakpoints`` are interior points where the integrand is continuous
-    but not smooth; the interval is split there.  Each piece keeps its
-    midpoint, half-width and last two sums as Python floats and doubles on
-    its own, and each doubling level is one call ``f(x)`` on the 1-D nodes
-    of every piece still refining, piece after piece in increasing order
-    (:func:`_piece_sums`).  A piece's value, error and rule are those of the
-    same row of :func:`integrate_rows`, bit for bit.  The value is signed:
-    b < a gives exactly minus the integral from b to a.  Taking the pieces
-    in increasing order, :func:`_certify` raises :class:`QuadratureFailure`
-    at the first prefix that has not converged and whose summed error
-    estimate is not within the tolerance of its summed value (a nan estimate
-    never is).  Returns ``(value, error)``: the summed estimates plus the
-    rounding bound (2 N + 16) eps |value|, N the largest rule any piece
-    summed, which the package's rules meet (Hale & Townsend, SIAM J. Sci.
-    Comput. 35 (2013)).
+    but not smooth; the interval is split there, and the pieces run through
+    :func:`_node_doubling`: each doubling level is one call ``f(x)`` on the
+    1-D nodes of every piece still refining, piece after piece in increasing
+    order.  A piece's value, error and rule are those of the same row of
+    :func:`integrate_rows`, bit for bit.  The value is signed: b < a gives
+    exactly minus the integral from b to a.  Taking the pieces in increasing
+    order, :func:`_certify` raises :class:`QuadratureFailure` at the first
+    prefix that has not converged and whose summed error estimate is not
+    within the tolerance of its summed value (a nan estimate never is).
+    Returns ``(value, error)``: the summed estimates plus the rounding bound
+    (2 N + 16) eps |value|, N the largest rule any piece summed, which the
+    package's rules meet (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013)).
     """
     if a == b:
         return 0.0, 0.0
@@ -289,29 +228,45 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig,
         value, err = integrate_interval(f, b, a, config, breakpoints)
         return -value, err
     cuts = [a, *sorted({p for p in breakpoints if a < p < b}), b]
-    abs_tol, rel_tol = config.abs_tol, config.rel_tol
     pieces = [(0.5 * (hi + lo), 0.5 * (hi - lo)) for lo, hi in zip(cuts, cuts[1:])]
-    results = [None] * len(pieces)      # (value, error, converged) per piece
-    n = 2 * _GL_FIRST_NODES
-    active, sums = range(len(pieces)), _piece_sums(f, pieces, (_GL_FIRST_NODES, n))
-    while True:
-        refine = []
-        for k, (prev, cur) in zip(active, sums):
-            step_err = abs(cur - prev)
-            ok = _within_tol(step_err, cur, abs_tol, rel_tol)
-            results[k] = cur, step_err, ok
-            if not ok:
-                refine.append(k)
-        if not refine or 2 * n > _GL_MAX_NODES:
-            break
-        n *= 2
-        sums = _piece_sums(f, [pieces[k] for k in refine], (n,))
-        active, sums = refine, [(results[k][0], cur) for k, (cur,) in zip(refine, sums)]
+    results, n = _node_doubling(lambda x, keys: f(x), pieces, config)
     total, err, converged = 0.0, 0.0, True
-    for v, e, ok in results:
+    for v, e, ok, _ in results:
         total += v
         err += e
         converged = converged and ok
         if not converged:
             _certify(total, err, config, "on [{}, {}]", a, b)
     return total, err + _EPS * (2.0 * n + 16.0) * abs(total)
+
+
+def integrate_rows(f, a, b, config: QuadratureConfig):
+    """Integrate one integrand per row over per-row limits [a_k, b_k].
+
+    ``f(x, rows)`` receives a (rows x nodes) node matrix ``x`` and a
+    (rows x 1) column of integer row indices, and returns the integrand
+    values at ``x``, row k using the parameters of row k.  Each row is a
+    piece of :func:`_node_doubling`, so it refines on its own and row k
+    gives, bit for bit, what :func:`integrate_interval` gives for its
+    integrand alone: a b_k < a_k row is exactly minus its forward row.
+
+    Returns ``(value, error_estimate, converged, nodes)`` arrays, ``nodes``
+    the largest rule row k summed; the error leaves out the rules' rounding.
+    Nothing is raised on non-convergence; the caller decides what a failed
+    row means.  Rows with a_k == b_k give (0, 0, True, 0) and are never
+    evaluated.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = a.ravel(), b.ravel()
+    value, err = np.zeros(a.size), np.zeros(a.size)
+    converged, nodes = np.ones(a.size, dtype=bool), np.zeros(a.size, dtype=int)
+    live = np.flatnonzero(a != b)
+    if live.size:
+        lo, hi = np.minimum(a, b)[live], np.maximum(a, b)[live]
+        pieces = list(zip((0.5 * (hi + lo)).tolist(), (0.5 * (hi - lo)).tolist()))
+        results, _ = _node_doubling(
+            lambda x, keys: f(x.reshape(len(keys), -1), live[keys, None]).ravel(),
+            pieces, config)
+        value[live], err[live], converged[live], nodes[live] = zip(*results)
+        value[b < a] *= -1.0
+    return value, err, converged, nodes

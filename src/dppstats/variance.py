@@ -10,8 +10,8 @@ Gauss-Jacobi sum.  Both exact sums take their rules from one builder,
 :func:`_gauss_rule` (eigenvalue nodes, Christoffel weights, from the Jacobi
 matrix of the weight); each radial integral is one call of
 :func:`dppstats.quadrature.integrate_interval`, Gauss-Legendre on its
-breakpoint pieces kept as Python floats (not the rows core of
-``integrate_rows``), whose error carries its rules' rounding, and one check,
+breakpoint pieces kept as Python floats, whose error carries its rules'
+rounding, and one check,
 :func:`dppstats.quadrature._certify`, holds every variance and C to the
 tolerance.  :data:`ROUTES` lists each geometry's route names: the first labels
 its one computation, the second is an alias that returns the same numbers under
@@ -82,6 +82,8 @@ class ContractionRow:
 
 
 _EPS = float(np.finfo(float).eps)
+# the smallest normal double; a contraction ratio of smaller variances has no digits
+_TINY = float(np.finfo(float).tiny)
 # the largest log of a factor of the radial weight; e^700 leaves room below overflow
 _LOG_HUGE = 700.0
 
@@ -420,6 +422,10 @@ def contraction_check(m: int, r: float, R_values: Sequence[float],
     shrinks the reference area by 1/R^2, and the two cancel exactly.  The
     count means already show this: E N_{r/R} = beta (r/R)^2 / (1 - (r/R)^2)
     at m = 0 tends to r^2, the planar mean, with no residual factor.
+
+    At tiny r both variances fall like r^2 (m = 0); once either is below
+    the smallest normal double the ratio is noise or a division by zero, and
+    :class:`QuadratureFailure` is raised instead.
     """
     if m < 0 or m != int(m):
         raise DomainError(f"m must be a non-negative integer, got {m}")
@@ -432,5 +438,9 @@ def contraction_check(m: int, r: float, R_values: Sequence[float],
             raise DomainError(f"r/R must lie in (0, 1), got {r / R}")
         level = HyperbolicLevel(R * R / 2.0, int(m))
         scaled = variance_hyperbolic(level, r / R, quad).value
+        if not (scaled >= _TINY and target >= _TINY):
+            raise QuadratureFailure(
+                f"a variance at m={m}, r={r} is below the smallest normal double (scaled "
+                f"{scaled!r} at R={R}, planar {target!r}); their ratio has no digits")
         rows.append(ContractionRow(float(R), scaled, target, scaled / target))
     return rows

@@ -300,6 +300,24 @@ class TestContractionCommand:
                                      "--scale", "0.5"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("r", ["1e-300", "1e-170", "1e-160"])
+    def test_variances_below_the_smallest_normal_exit_3(self, runner, r):
+        # a ZeroDivisionError traceback (exit 1) at 1e-300 and 1e-170; at 1e-160
+        # ratios of subnormal variances with no digits
+        result = runner.invoke(cli, ["contraction", "--m", "0", "--r", r])
+        assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+        assert result.stdout == "" and result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1 and "smallest normal" in result.stderr
+
+    def test_tiny_normal_variances_keep_their_bytes(self, runner):
+        result = runner.invoke(cli, ["contraction", "--m", "0", "--r", "1e-100"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "scale,scaled_variance,euclidean_target,ratio\n"
+            "4,9.3749999999999995e-201,9.9999999999999998e-201,0.9375\n"
+            "8,9.8437499999999994e-201,9.9999999999999998e-201,0.984375\n"
+            "16,9.9609375000000008e-201,9.9999999999999998e-201,0.99609375000000011\n")
+
     def test_json_format(self, runner):
         result = runner.invoke(cli, ["contraction", "--m", "0", "--r", "1",
                                      "--scale", "4", "--format", "json"])

@@ -1,14 +1,20 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
-from dppstats import (DomainError, EuclideanLevel, HyperbolicLevel, f_profile,
-                      fock_kernel_sq_weighted, hyperbolic_distance,
-                      hyperbolic_kernel, hyperbolic_kernel_abs_sq,
-                      jacobi_zero_beta)
+from dppstats import (DomainError, EuclideanLevel, HyperbolicLevel, asymptotic_constant,
+                      f_profile, fock_kernel_sq_weighted, hyperbolic_distance,
+                      hyperbolic_kernel, hyperbolic_kernel_abs_sq, jacobi_zero_beta,
+                      variance_hyperbolic)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_disc_points(rng, n, radius=0.9):
@@ -35,6 +41,24 @@ class TestLevels:
             HyperbolicLevel(1.5, 1)       # beta would be exactly 0
         with pytest.raises(DomainError):
             HyperbolicLevel(2.0, -1)
+
+    def test_integral_float_level_gives_the_int_level(self):
+        # an integral float n or m passed validation, then range(2, m + 1)
+        # raised a bare TypeError; the planar case runs in a fresh process,
+        # where no cached rule of n = 2 can hide it
+        float_level, int_level = HyperbolicLevel(3.0, 2.0), HyperbolicLevel(3.0, 2)
+        assert float_level == int_level and type(float_level.m) is int
+        assert variance_hyperbolic(float_level, 0.6) == variance_hyperbolic(int_level, 0.6)
+        assert asymptotic_constant(float_level) == asymptotic_constant(int_level)
+        for rho in (0.0, 0.3, 0.9):
+            assert f_profile(float_level, rho) == f_profile(int_level, rho)
+        code = ("from dppstats import EuclideanLevel as E, variance_euclidean_shirai as v; "
+                "assert type(E(2.0).n) is int; "
+                "assert v(E(2.0), 1.0) == v(E(2), 1.0)")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("nu", [math.inf, -math.inf, math.nan])
     def test_hyperbolic_rejects_non_finite_nu(self, nu):

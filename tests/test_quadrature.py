@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -59,6 +60,9 @@ class TestConfig:
         cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
         assert cfg.tolerance(0.0) == 1e-10
         assert cfg.tolerance(1.0) == 1e-6
+        # as max(abs_tol, rel_tol |scale|): abs_tol for a nan scale
+        assert cfg.tolerance(-2.0) == 2e-6 and cfg.tolerance(math.inf) == math.inf
+        assert cfg.tolerance(math.nan) == 1e-10
 
     def test_immutability(self):
         cfg = QuadratureConfig()
@@ -371,19 +375,22 @@ class TestIntegrateRows:
         assert seen == [(192, [0, 1]), (256, [1])]
         assert nodes.tolist() == [128, 256]
 
-    def test_first_call_holds_the_first_two_rules(self):
+    @pytest.mark.parametrize("keys", [range(3), [1]], ids=["three_pieces", "one_piece"])
+    def test_first_call_holds_the_first_two_rules(self, keys):
         # the sums of the one call on the concatenated 64 + 128 nodes equal
-        # those of separate 64- and 128-node calls, bit for bit
+        # those of separate 64- and 128-node calls, bit for bit, on several
+        # pieces (one array) and on one (the path on floats)
+        pieces = [(0.5, 0.5), (1.5, 0.5), (3.0, 1.0)]
         shift = np.array([1e-3, 0.3, 2.0])
-        rows, mid, half = np.arange(shift.size), np.full(shift.size, 0.5), np.full(shift.size, 0.5)
 
-        def f(x, k):
-            return 1.0 / (x + shift[k])
+        def f(x, keys):
+            return (1.0 / (x.reshape(len(keys), -1) + shift[keys, None])).ravel()
 
-        merged = quadrature._gauss_legendre_sums(f, rows, mid, half, (64, 128))
+        merged = quadrature._piece_sums(f, pieces, keys, (64, 128))
+        assert len(merged) == len(keys)
         for i, n in enumerate((64, 128)):
-            alone, = quadrature._gauss_legendre_sums(f, rows, mid, half, (n,))
-            np.testing.assert_array_equal(merged[i], alone)
+            alone = quadrature._piece_sums(f, pieces, keys, (n,))
+            assert [sums[i] for sums in merged] == [sums[0] for sums in alone]
 
     def test_default_schedule_follows_the_scalar_doubling(self):
         # the merged first call changes no value, error or flag of the one-call-
@@ -402,6 +409,35 @@ class TestIntegrateRows:
             assert err[k] == pytest.approx(e, rel=1e-6, abs=1e-14 * abs(v))
             assert ok[k] == c
         assert ok.all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5), st.floats(-2.0, 2.0),
+        st.one_of(st.just(0.0), st.floats(-4.0, -1e-3), st.floats(1e-3, 4.0))),
+        min_size=1, max_size=40), log_rel_tol=st.floats(-13.0, -6.0))
+    def test_each_row_is_its_interval_alone(self, rows, log_rel_tol):
+        # rows with parameters of their own, some empty (a = b) and some reversed
+        # (b < a): a converged row's value is integrate_interval's of its
+        # integrand alone and its error that one's less the rules' rounding, bit
+        # for bit, so the row indices reach f through the reshape; an
+        # unconverged row's interval raises
+        def h(x, p):
+            return p[0] * np.exp(p[1] * x) + np.sin(p[2] * x + p[3]) / (1.0 + p[4] * p[4] * x * x)
+
+        coef = np.array([c for c, _, _ in rows]).T
+        a = np.array([lo for _, lo, _ in rows])
+        b = a + np.array([width for _, _, width in rows])
+        cfg = QuadratureConfig(rel_tol=10.0 ** log_rel_tol, abs_tol=1e-12)
+        val, err, ok, nodes = integrate_rows(lambda x, k: h(x, coef[:, k]), a, b, cfg)
+        for i in range(len(rows)):
+            f = functools.partial(h, p=coef[:, i].tolist())
+            if ok[i]:
+                want = integrate_interval(f, a[i], b[i], cfg)
+                assert (val[i], err[i] + EPS * (2.0 * nodes[i] + 16.0) * abs(val[i])) == want
+            else:
+                with pytest.raises(QuadratureFailure):
+                    integrate_interval(f, a[i], b[i], cfg)
+        assert (nodes[a == b] == 0).all() and (nodes[a != b] >= 128).all()
 
     def test_empty_rows_are_zero_and_never_evaluated(self):
         seen = []
@@ -460,13 +496,20 @@ class TestIntegrateRows:
         for got, want in zip(alone, whole):
             np.testing.assert_array_equal(got, want)
 
-    def test_acceptance_test_matches_max_form(self):
-        for err, value in [(1e-12, 0.0), (2e-12, 1e-3), (1e-9, 1.0), (1.1e-9, 1.0),
-                           (math.nan, 1.0), (1e-13, math.nan)]:
-            expected = err <= max(1e-12, 1e-9 * abs(value))
-            assert bool(quadrature._within_tol(err, value, 1e-12, 1e-9)) == expected
-            assert quadrature._within_tol(np.array([err]), np.array([value]),
-                                          1e-12, 1e-9)[0] == expected
+    @pytest.mark.parametrize("prev, cur", [
+        (0.0, 1e-12), (0.0, 2e-12), (1e-3, 1e-3 + 2e-12), (1.0, 1.0 + 2.0 ** -30),
+        (1.0, 1.0 + 2.0 ** -29), (math.nan, 1.0), (1.0, math.nan), (0.0, math.inf),
+        (math.inf, math.inf), (1.0, -math.inf)])
+    def test_acceptance_test_matches_max_form(self, monkeypatch, small_budget, prev, cur):
+        # the loop accepts a step once err <= config.tolerance(value): for floats,
+        # nan and inf included, that is err <= abs_tol or err <= rel_tol |value|
+        small_budget(64, 128)
+        monkeypatch.setattr(quadrature, "_piece_sums",
+                            lambda f, pieces, keys, sizes: [[prev, cur]])
+        (result,), n = quadrature._node_doubling(None, [(0.5, 0.5)], QuadratureConfig())
+        err = abs(cur - prev)
+        assert n == 128 and result[3] == 128
+        assert result[2] == (err <= 1e-12 or err <= 1e-9 * abs(cur))
 
 
 class TestLegendreRule:

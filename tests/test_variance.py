@@ -309,7 +309,7 @@ class TestAsymptoticConstant:
         def forbidden(*args):
             raise AssertionError("asymptotic_constant called a quadrature")
 
-        monkeypatch.setattr(quadrature, "_gauss_legendre", forbidden)
+        monkeypatch.setattr(quadrature, "_piece_sums", forbidden)
         monkeypatch.setattr(quadrature, "integrate_rows", forbidden)
         monkeypatch.setattr(variance, "integrate_interval", forbidden)
         assert asymptotic_constant(HyperbolicLevel(3.5, 2)) == pytest.approx(669 / 512)
@@ -353,6 +353,17 @@ class TestContraction:
         assert rows[0].euclidean_target < 3e-3
         assert rows[0].scaled_variance < 3e-3
         assert rows[0].ratio == pytest.approx(1.0, abs=0.1)
+
+    @pytest.mark.parametrize("r", [1e-300, 1e-170, 1e-160])
+    def test_variances_below_the_smallest_normal_raise(self, r):
+        # at 1e-300 and 1e-170 the planar target is 0 and the ratio divided by
+        # it; at 1e-160 it is subnormal and the R = 16 ratio read 1.0430
+        with pytest.raises(QuadratureFailure, match="smallest normal"):
+            contraction_check(0, r, [4.0, 8.0, 16.0])
+
+    def test_tiny_normal_variances_keep_their_ratios(self):
+        rows = contraction_check(0, 1e-100, [4.0, 8.0, 16.0])
+        assert [row.ratio for row in rows] == [0.9375, 0.984375, 0.99609375000000011]
 
     def test_validation(self):
         with pytest.raises(DomainError):
